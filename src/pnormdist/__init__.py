@@ -40,7 +40,6 @@ from .geometry import (
 from .interpolation import Interpolant, evaluate_interpolant, fit
 from .profiles import (
     RadialProfile,
-    classify_composition,
     cm_derivative_spotcheck,
     compose,
     evaluate,
@@ -96,7 +95,6 @@ __all__ = [
     "build_distance_matrix",
     "certify_singular",
     "check_and",
-    "classify_composition",
     "cm_derivative_spotcheck",
     "compose",
     "cube_config",

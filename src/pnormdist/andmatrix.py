@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import EmbeddingError, NotAndError, NotPsdError
 
@@ -94,40 +95,57 @@ def restrict_to_zero_sum(A) -> np.ndarray:
     return A[:-1, -1][:, None] + A[-1, :-1][None, :] - A[:-1, :-1] - A[-1, -1]
 
 
-def det_sign_logmag(A, tol: float = DEFAULT_EIG_TOL):
-    """Sign and log-magnitude of det(A) by partially pivoted elimination.
+def ldl_factor(A):
+    """Bunch-Kaufman LDL^T factorization of a symmetric A (LAPACK dsytrf).
 
-    Tracks the permutation parity and accumulates log|pivot| so the magnitude
-    never overflows; a pivot below tol*max(1, |A|_max) makes the determinant
-    numerically zero, returned as (0, None).
+    Returns (lu, ipiv, pivots): `lu` and `ipiv` are dsytrf's factors of
+    A = U D U^T in upper storage, ready for dsytrs and dsycon; `pivots` holds
+    the eigenvalues of D's 1x1 and 2x2 diagonal blocks. By Sylvester's law of
+    inertia their signs are the inertia of A, and their product is det A.
+    Upper storage matches LAPACK's dsysv routine, so solves agree with it bit
+    for bit.
     """
-    U = np.array(A, dtype=float, copy=True)
-    n = U.shape[0]
-    scale = max(1.0, float(np.abs(U).max())) if U.size else 1.0
-    cut = tol * scale
-    sign = 1
-    logmag = 0.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(U[k:, k])))
-        if abs(U[piv, k]) <= cut:
-            return 0, None
-        if piv != k:
-            U[[k, piv]] = U[[piv, k]]
-            sign = -sign
-        pivot = U[k, k]
-        if pivot < 0:
-            sign = -sign
-        logmag += math.log(abs(pivot))
-        if k + 1 < n:
-            U[k + 1 :, k:] -= np.outer(U[k + 1 :, k] / pivot, U[k, k:])
-    return sign, logmag
+    n = A.shape[0]
+    lwork = max(1, int(lapack.dsytrf_lwork(n, lower=0)[0]))
+    lu, ipiv, _ = lapack.dsytrf(A, lower=0, lwork=lwork)
+    diag, off, kinds = np.diag(lu).tolist(), np.diag(lu, 1).tolist(), ipiv.tolist()
+    pivots, k = [], 0
+    while k < n:
+        if kinds[k] > 0:  # 1x1 block
+            pivots.append(diag[k])
+            k += 1
+        else:  # 2x2 block [[a, b], [b, c]]: larger-magnitude eigenvalue, then det / it
+            a, b, c = diag[k], off[k], diag[k + 1]
+            mean = 0.5 * (a + c)
+            big = mean + math.copysign(math.hypot(0.5 * (a - c), b), mean)
+            pivots += [big, (a * c - b * b) / big]
+            k += 2
+    return lu, ipiv, np.array(pivots)
+
+
+def det_sign_logmag(A, tol: float = DEFAULT_EIG_TOL):
+    """Sign and log-magnitude of det(A) from the pivots of the LDL^T factorization.
+
+    The sign is (-1)^(number of negative pivots) and the log-magnitude the
+    sum of log|pivot|, so the magnitude never overflows; a pivot at or below
+    tol*max(1, |A|_max) makes the determinant numerically zero, returned as
+    (0, None).
+    """
+    A = _require_symmetric(A)
+    cut = tol * max(1.0, float(np.abs(A).max(initial=0.0)))
+    _, _, pivots = ldl_factor(A)
+    if np.any(np.abs(pivots) <= cut):
+        return 0, None
+    sign = -1 if np.count_nonzero(pivots < 0) % 2 else 1
+    return sign, float(np.sum(np.log(np.abs(pivots))))
 
 
 def check_and(A, tol: float = DEFAULT_EIG_TOL) -> AndReport:
     """Classify A as not-AND / AND / strictly-AND from its restricted spectrum.
 
     Eigenvalue comparisons are relative to scale = max(1, |A|_max); the
-    determinant sign comes from sign-tracking pivoted elimination on A itself.
+    determinant sign and log-magnitude come from the pivots of A's one
+    Bunch-Kaufman LDL^T factorization (`det_sign_logmag`).
     """
     A = _require_symmetric(A)
     n = A.shape[0]

@@ -107,7 +107,6 @@ class DistanceMatrix:
     """Symmetric n x n matrix of profile values of pairwise p-norm distances."""
 
     entries: np.ndarray
-    provenance: Optional[tuple] = None  # (PointSet, PExponent, profile or None)
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
@@ -184,7 +183,7 @@ def build_distance_matrix(
         entries[ju, iu] = vals
     diag = 0.0 if profile is None else profile(0.0)
     np.fill_diagonal(entries, diag)
-    return DistanceMatrix(entries, provenance=(pts, pe, profile))
+    return DistanceMatrix(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ a solve failure there is a numerical breakdown; other (p, profile) pairs
 are permitted but carry no guarantee, and a singular system raises with the
 matrix's AND report attached.
 
-The solver is a dense symmetric-indefinite direct solve (the matrix is not
-positive definite, so plain Cholesky would be wrong).
+The solver is the one Bunch-Kaufman LDL^T factorization of
+`andmatrix.ldl_factor` (the matrix is not positive definite, so plain
+Cholesky would be wrong): dsytrs solves with its factors and dsycon gives
+the condition estimate, LAPACK's 1-norm estimate ||A||_1 ||A^-1||_1.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from . import profiles as prof
-from .andmatrix import check_and
+from .andmatrix import check_and, ldl_factor
 from .errors import CertificationError, SingularSystemError
 from .geometry import (
     PExponent,
@@ -37,7 +38,6 @@ from .geometry import (
 from .serialize import dumps, loads
 
 DEFAULT_FIT_TOL = 1e-8
-_SVD_COND_LIMIT = 500  # above this, use a 1-norm estimate instead of singular values
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,6 @@ class Interpolant:
                 f"queries must have shape (k, {self.centers.d}), got {queries.shape}"
             )
         return np.array([evaluate_interpolant(self, q) for q in queries])
-
-
-def _condition_estimate(A: np.ndarray) -> float:
-    n = A.shape[0]
-    if n <= _SVD_COND_LIMIT:
-        svals = np.linalg.svd(A, compute_uv=False)
-        if svals[-1] == 0.0:
-            return float("inf")
-        return float(svals[0] / svals[-1])
-    lu, piv = scipy.linalg.lu_factor(A)
-    op = scipy.sparse.linalg.LinearOperator(
-        A.shape, matvec=lambda b: scipy.linalg.lu_solve((lu, piv), b)
-    )
-    return float(np.linalg.norm(A, 1) * scipy.sparse.linalg.onenormest(op))
 
 
 def fit(
@@ -114,17 +100,18 @@ def fit(
         return Interpolant(pts, f / phi0, pe, profile, 1.0, False)
 
     A = build_distance_matrix(pts, pe, profile).entries
-    coeffs = None
-    try:
-        coeffs = scipy.linalg.solve(A, f, assume_a="sym")
-    except scipy.linalg.LinAlgError:
-        pass
+    lu, ipiv, _ = ldl_factor(A)
+    coeffs = lapack.dsytrs(lu, ipiv, f)[0]
     fnorm = float(np.linalg.norm(f))
     denom = fnorm if fnorm > 0.0 else 1.0
-    if coeffs is not None and np.isfinite(coeffs).all():
+    if np.isfinite(coeffs).all():
         residual = float(np.linalg.norm(A @ coeffs - f)) / denom
         if residual <= tol:
-            return Interpolant(pts, coeffs, pe, profile, _condition_estimate(A), guaranteed)
+            # dsycon's last bits follow the address of a work buffer scipy
+            # allocates (OpenBLAS dasum); single precision keeps reruns identical
+            rcond = float(np.float32(lapack.dsycon(lu, ipiv, np.linalg.norm(A, 1))[0]))
+            cond = 1.0 / rcond if rcond > 0.0 else float("inf")
+            return Interpolant(pts, coeffs, pe, profile, cond, guaranteed)
     else:
         residual = float("inf")
     if guaranteed:
@@ -158,6 +145,8 @@ def to_json(s: Interpolant) -> str:
             "coefficients": s.coefficients,
             "p": s.p.p,
             "profile": prof.to_json_dict(s.profile),
+            "condition_estimate": s.condition_estimate,
+            "guaranteed": s.guaranteed,
         }
     )
 
@@ -170,6 +159,5 @@ def from_json(text: str) -> Interpolant:
         raise ValueError("coefficients do not match centers")
     profile = prof.from_json_dict(obj["profile"])
     pe = as_pexponent(float(obj["p"]))
-    A = build_distance_matrix(pts, pe, profile).entries if pts.n > 1 else None
-    cond = _condition_estimate(A) if A is not None else 1.0
-    return Interpolant(pts, coeffs, pe, profile, cond, False)
+    cond = float(obj["condition_estimate"])  # also reads the "inf" string form
+    return Interpolant(pts, coeffs, pe, profile, cond, bool(obj["guaranteed"]))

@@ -170,10 +170,6 @@ def compose(
     )
 
 
-# `classify_composition` is the operation name; `compose` the short spelling.
-classify_composition = compose
-
-
 def evaluate(profile: RadialProfile, t):
     """Evaluate the scalar map at t >= 0 (scalar or array)."""
     arr = np.asarray(t, dtype=float)

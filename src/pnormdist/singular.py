@@ -66,6 +66,11 @@ def _pascal_row(k: int) -> np.ndarray:
     return row
 
 
+def _bernstein_sum(k: int, p: float) -> float:
+    """sum_{j=1}^{k} C(k,j) (j/k)^(1/p): 2^k times the Bernstein value at 1/2."""
+    return float(np.sum(_pascal_row(k)[1:] * np.power(np.arange(1, k + 1) / k, 1.0 / p)))
+
+
 def bernstein_half(i: int, p: PLike) -> float:
     """Bernstein value of t -> t^(1/p) at t = 1/2, degree i.
 
@@ -73,11 +78,7 @@ def bernstein_half(i: int, p: PLike) -> float:
     """
     if i < 1:
         raise ValueError(f"degree must be >= 1, got {i}")
-    pe = as_pexponent(p)
-    row = _pascal_row(i)
-    j = np.arange(1, i + 1)
-    s = float(np.sum(row[1:] * np.power(j / i, 1.0 / pe.p)))
-    return s * 2.0 ** (-i)
+    return _bernstein_sum(i, as_pexponent(p).p) * 2.0 ** (-i)
 
 
 def vertex_psum(k: int, p: PLike) -> float:
@@ -177,9 +178,7 @@ def _validate_cube_items(gm: np.ndarray, gn: np.ndarray, m: int, n: int, theta: 
         raise AssertionError("cross-pair distances are not constant at (1+theta^p)^(1/p)")
     for block, k, scale in ((gm, m, 1.0), (gn, n, theta)):
         sums = _pdist_chunked(_base_sample(block), block, p).sum(axis=1)
-        expected = 2.0 * scale * float(
-            np.sum(_pascal_row(k)[1:] * np.power(np.arange(1, k + 1) / k, 1.0 / p))
-        )
+        expected = 2.0 * scale * _bernstein_sum(k, p)
         if np.abs(sums - expected).max() > rel * max(1.0, expected):
             raise AssertionError("within-cube distance sums are not constant at the closed form")
 
@@ -249,13 +248,11 @@ def reduced_system(m: int, n: int, theta: float, p: PLike) -> ReducedSystem:
         raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-    sm = float(np.sum(_pascal_row(m)[1:] * np.power(np.arange(1, m + 1) / m, 1.0 / pe.p)))
-    sn = float(np.sum(_pascal_row(n)[1:] * np.power(np.arange(1, n + 1) / n, 1.0 / pe.p)))
     cross = (1.0 + theta**pe.p) ** (1.0 / pe.p)
     matrix = np.array(
         [
-            [2.0 * sm, 2.0**n * cross],
-            [2.0**m * cross, 2.0 * theta * sn],
+            [2.0 * _bernstein_sum(m, pe.p), 2.0**n * cross],
+            [2.0**m * cross, 2.0 * theta * _bernstein_sum(n, pe.p)],
         ]
     )
     return ReducedSystem(matrix=matrix, m=m, n=n, theta=float(theta), p=pe)

@@ -7,6 +7,8 @@ from hypothesis.extra.numpy import arrays
 from pnormdist.andmatrix import (
     check_and,
     det_sign_certificate,
+    det_sign_logmag,
+    ldl_factor,
     psd_factor,
     restrict_to_zero_sum,
     schoenberg_embed,
@@ -211,6 +213,32 @@ class TestSchoenbergEmbed:
             np.fill_diagonal(A, 0.0)
             emb = schoenberg_embed(A)
             assert np.abs(emb.squared_distances() - A).max() < 1e-9
+
+
+class TestLdlFactor:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=arrays(
+            np.float64,
+            st.integers(1, 8).map(lambda n: (n, n)),
+            elements=st.floats(-10, 10, allow_subnormal=False),
+        ),
+        zero_diagonal=st.booleans(),
+    )
+    def test_matches_slogdet_and_eigvalsh(self, m, zero_diagonal):
+        # a zero diagonal (the distance-matrix case) forces 2x2 pivots
+        A = np.triu(m) + np.triu(m, 1).T
+        if zero_diagonal:
+            np.fill_diagonal(A, 0.0)
+        sign, logmag = det_sign_logmag(A)
+        if sign == 0:
+            return
+        ref_sign, ref_logmag = np.linalg.slogdet(A)
+        assert sign == ref_sign
+        # log|det| is perturbed by about cond(A) * eps in either computation
+        assert logmag == pytest.approx(ref_logmag, abs=1e-10 * max(1.0, np.linalg.cond(A)))
+        _, _, pivots = ldl_factor(A)
+        assert np.count_nonzero(pivots < 0) == np.count_nonzero(np.linalg.eigvalsh(A) < 0)
 
 
 class TestDetSignCertificate:

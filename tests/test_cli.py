@@ -209,6 +209,20 @@ class TestInterp:
         assert report["fit_residual"] < 1e-8
         assert report["guaranteed"] is True
 
+    def test_more_than_500_centres(self, tmp_path, capsys):
+        rng = np.random.default_rng(44)
+        x = rng.random((501, 3))
+        data = tmp_path / "data.csv"
+        self._write(data, np.column_stack([x, rng.standard_normal(501)]))
+        queries = tmp_path / "q.csv"
+        self._write(queries, rng.random((3, 3)))
+        out = tmp_path / "vals.csv"
+        rc = main(["interp", str(data), "--p", "1.5", "--query-file", str(queries), "--out", str(out)])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 501 and report["guaranteed"] is True
+        assert math.isfinite(report["condition_estimate"])
+
     def test_unit_square_p1_exit_3(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0,0,1\n1,0,0\n1,1,0\n0,1,0\n")

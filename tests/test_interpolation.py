@@ -36,6 +36,15 @@ class TestFit:
         assert A_residual < 1e-8
         assert np.isfinite(s.condition_estimate)
 
+    def test_more_than_500_centres(self):
+        rng = np.random.default_rng(37)
+        x = rng.random((501, 3))
+        f = rng.standard_normal(501)
+        s = fit(x, f, 1.5)
+        assert s.guaranteed
+        assert np.isfinite(s.condition_estimate)
+        assert np.abs(s.evaluate_many(x) - f).max() < 1e-8
+
     def test_unit_square_1norm_is_singular(self):
         with pytest.raises(SingularSystemError) as exc_info:
             fit(UNIT_SQUARE, [1.0, 0.0, 0.0, 0.0], 1.0)
@@ -141,5 +150,7 @@ class TestJson:
         assert np.allclose(back.coefficients, s.coefficients)
         assert np.array_equal(back.centers.points, s.centers.points)
         assert back.p == s.p
+        assert back.condition_estimate == s.condition_estimate
+        assert back.guaranteed is s.guaranteed is True
         q = np.array([0.25, 0.75])
         assert back(q) == pytest.approx(s(q), rel=1e-15)
