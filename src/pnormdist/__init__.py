@@ -66,7 +66,6 @@ from .singular import (
     psi_limit,
     rate_table,
     reduced_system,
-    vertex_psum,
 )
 
 __version__ = "0.1.0"
@@ -122,7 +121,6 @@ __all__ = [
     "reduced_system",
     "restrict_to_zero_sum",
     "schoenberg_embed",
-    "vertex_psum",
     "write_matrix_csv",
     "write_points_csv",
 ]

@@ -128,11 +128,11 @@ def det_sign_logmag(A, tol: float = DEFAULT_EIG_TOL):
 
     The sign is (-1)^(number of negative pivots) and the log-magnitude the
     sum of log|pivot|, so the magnitude never overflows; a pivot at or below
-    tol*max(1, |A|_max) makes the determinant numerically zero, returned as
-    (0, None).
+    tol*|A|_max makes the determinant numerically zero, returned as (0, None).
+    The cut-off scales with A, so the answer does not depend on its units.
     """
     A = _require_symmetric(A)
-    cut = tol * max(1.0, float(np.abs(A).max(initial=0.0)))
+    cut = tol * float(np.abs(A).max(initial=0.0))
     _, _, pivots = ldl_factor(A)
     if np.any(np.abs(pivots) <= cut):
         return 0, None
@@ -143,7 +143,8 @@ def det_sign_logmag(A, tol: float = DEFAULT_EIG_TOL):
 def check_and(A, tol: float = DEFAULT_EIG_TOL) -> AndReport:
     """Classify A as not-AND / AND / strictly-AND from its restricted spectrum.
 
-    Eigenvalue comparisons are relative to scale = max(1, |A|_max); the
+    Eigenvalue comparisons are relative to scale = |A|_max, so the verdict
+    does not change when A is multiplied by a positive number; the
     determinant sign and log-magnitude come from the pivots of A's one
     Bunch-Kaufman LDL^T factorization (`det_sign_logmag`).
     """
@@ -153,7 +154,7 @@ def check_and(A, tol: float = DEFAULT_EIG_TOL) -> AndReport:
         raise ValueError("need n >= 2 (the zero-sum hyperplane of a 1x1 matrix is trivial)")
     B = restrict_to_zero_sum(A)
     mu = np.linalg.eigvalsh(B)
-    scale = max(1.0, float(np.abs(A).max()))
+    scale = float(np.abs(A).max())
     if mu.min() > tol * scale:
         verdict = VERDICT_STRICTLY_AND
     elif mu.min() >= -tol * scale:
@@ -216,7 +217,8 @@ def schoenberg_embed(A, tol: float = DEFAULT_EIG_TOL, rank: Optional[int] = None
     embedding vectors are the columns of P/sqrt(2) plus the zero vector, in
     dimension n-1 (or `rank` if truncation is requested, keeping the
     dominant eigendirections). Distinctness transfers: A_ij != 0 for i != j
-    implies y^i != y^j.
+    implies y^i != y^j. Without truncation the residual must stay within
+    10*tol*|A|_max, a cut-off that scales with A.
     """
     A = _require_symmetric(A)
     n = A.shape[0]
@@ -238,7 +240,7 @@ def schoenberg_embed(A, tol: float = DEFAULT_EIG_TOL, rank: Optional[int] = None
     vectors[: n - 1] = P.T / math.sqrt(2.0)
     emb = Embedding(vectors=vectors, residual=0.0)
     residual = float(np.abs(emb.squared_distances() - A).max())
-    scale = max(1.0, float(np.abs(A).max()))
+    scale = float(np.abs(A).max())
     if rank is None and residual > 10.0 * tol * scale:
         raise EmbeddingError(
             f"embedding residual {residual:.3e} exceeds tolerance {10.0 * tol * scale:.3e}"

@@ -2,7 +2,12 @@
 
 The p-norm ||v||_p = (sum |v_k|^p)^(1/p) is a norm for p >= 1 and a
 quasi-norm (triangle inequality fails) for 0 < p < 1; both ranges are
-supported. Distance matrices are built once per unordered pair and mirrored,
+supported.
+
+`power_sum_blocks` is the one place that forms the pairwise p-th-power sums
+sum_k |a_ik - b_jk|^p. It works through the rows of `a` in blocks of about
+BLOCK_BYTES of coordinate differences, so a caller holds its output plus one
+block. Distance matrices are assembled from its upper blocks and mirrored,
 so they are bitwise symmetric by construction.
 
 File formats owned by this module: points are CSV with one point per row and
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +27,8 @@ from .serialize import fmt_float
 
 if TYPE_CHECKING:
     from .profiles import RadialProfile
+
+BLOCK_BYTES = 512 * 1024  # coordinate differences held per block
 
 
 @dataclass(frozen=True)
@@ -112,8 +119,11 @@ class DistanceMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be square, got shape {arr.shape}")
-        arr = np.array(arr, copy=True)
-        arr.setflags(write=False)
+        if arr.flags.writeable or not arr.flags.owndata:
+            # a read-only array that owns its memory is kept as is, so an
+            # n x n matrix is not held twice while it is built
+            arr = np.array(arr, copy=True)
+            arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -124,13 +134,16 @@ class DistanceMatrix:
 def pow_abs(values, p: float) -> np.ndarray:
     """|values|^p elementwise, computed as exp(p*ln|v|) with 0 mapped to 0.
 
-    The exp/log form avoids platform-dependent pow corner cases; zero entries
-    contribute exactly 0.
+    The exp/log form avoids platform-dependent pow corner cases. It runs in
+    place on one copy of |values|; ln 0 = -inf, so zero entries come out
+    exactly 0.
     """
-    a = np.abs(np.asarray(values, dtype=float))
-    out = np.zeros_like(a)
-    nz = a > 0.0
-    out[nz] = np.exp(p * np.log(a[nz]))
+    a = np.asarray(values, dtype=float)
+    out = np.abs(a, out=np.empty_like(a))
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    out *= p
+    np.exp(out, out=out)
     return out
 
 
@@ -148,41 +161,53 @@ def pnorm(v, p: PLike) -> float:
     return float(s ** (1.0 / pe.p))
 
 
-def _pairwise_power_sums(pts: PointSet, p: float):
-    """sum_k |x_i,k - x_j,k|^p for each unordered pair i < j.
+def power_sum_blocks(
+    a: np.ndarray, b: Optional[np.ndarray], p: float
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, stop, sums) with sums[i, j] = sum_k |a[start+i, k] - b[j, k]|^p.
 
-    Returns (iu, ju, sums) with the upper-triangle index arrays.
+    `a` and `b` are float arrays of shape (n, d) and (m, d); the row blocks
+    of `a` cover it in order. With b=None the blocks are the
+    upper ones, a[start:stop] against a[start:], so sums[i, j] pairs rows
+    start+i and start+j of `a`.
     """
-    iu, ju = np.triu_indices(pts.n, 1)
-    diffs = pts.points[iu] - pts.points[ju]
-    sums = pow_abs(diffs, p).sum(axis=1)
-    return iu, ju, sums
+    upper = b is None
+    if upper:
+        b = a
+    rows = max(1, BLOCK_BYTES // (8 * b.shape[0] * b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        stop = min(start + rows, a.shape[0])
+        other = b[start:] if upper else b
+        diffs = a[start:stop, None, :] - other[None, :, :]
+        yield start, stop, pow_abs(diffs, p).sum(axis=2)
 
 
 def build_distance_matrix(
     x: PointsLike, p: PLike, profile: "Optional[RadialProfile]" = None
 ) -> DistanceMatrix:
-    """Assemble A_ij = profile(||x_i - x_j||_p), each unordered pair computed once.
+    """Assemble A_ij = profile(||x_i - x_j||_p) from mirrored upper blocks.
 
     `profile=None` means the raw p-norm distance (identity profile). A
     profile's `input_convention` decides whether it consumes the distance r,
     the squared distance r^2, or the p-th power r^p; the diagonal is the
-    profile's value at 0 (exactly 0 for the raw distance).
+    profile's value at 0 (exactly 0 for the raw distance). Memory is the
+    n x n result plus one block.
     """
     pts = as_point_set(x)
     pe = as_pexponent(p)
     n = pts.n
     entries = np.zeros((n, n))
     if n > 1:
-        iu, ju, sums = _pairwise_power_sums(pts, pe.p)
-        if profile is None:
-            vals = np.power(sums, 1.0 / pe.p)
-        else:
-            vals = profile.apply_to_power_sums(sums, pe.p)
-        entries[iu, ju] = vals
-        entries[ju, iu] = vals
+        for start, stop, sums in power_sum_blocks(pts.points, None, pe.p):
+            if profile is None:
+                vals = np.power(sums, 1.0 / pe.p)
+            else:
+                vals = profile.apply_to_power_sums(sums, pe.p)
+            entries[start:stop, start:] = vals
+            entries[start:, start:stop] = vals.T
     diag = 0.0 if profile is None else profile(0.0)
     np.fill_diagonal(entries, diag)
+    entries.setflags(write=False)
     return DistanceMatrix(entries)
 
 

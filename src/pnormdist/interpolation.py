@@ -33,7 +33,7 @@ from .geometry import (
     as_pexponent,
     as_point_set,
     build_distance_matrix,
-    pow_abs,
+    power_sum_blocks,
 )
 from .serialize import dumps, loads
 
@@ -53,12 +53,20 @@ class Interpolant:
         return evaluate_interpolant(self, query)
 
     def evaluate_many(self, queries) -> np.ndarray:
+        """s(x) for each row x of a (k, d) array, one block of queries at a time."""
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2 or queries.shape[1] != self.centers.d:
             raise ValueError(
                 f"queries must have shape (k, {self.centers.d}), got {queries.shape}"
             )
-        return np.array([evaluate_interpolant(self, q) for q in queries])
+        out = np.empty(queries.shape[0])
+        for start, stop, sums in power_sum_blocks(queries, self.centers.points, self.p.p):
+            vals = self.profile.apply_to_power_sums(sums, self.p.p)
+            # vecdot reduces each row with the dot product np.dot uses on two
+            # vectors (a matrix-vector product sums in another order), so a
+            # value does not depend on the block its query falls in
+            out[start:stop] = np.vecdot(vals, self.coefficients)
+        return out
 
 
 def fit(
@@ -133,9 +141,7 @@ def evaluate_interpolant(s: Interpolant, query) -> float:
     q = np.asarray(query, dtype=float)
     if q.shape != (s.centers.d,):
         raise ValueError(f"query must have shape ({s.centers.d},), got {q.shape}")
-    sums = pow_abs(s.centers.points - q, s.p.p).sum(axis=1)
-    vals = s.profile.apply_to_power_sums(sums, s.p.p)
-    return float(np.dot(s.coefficients, vals))
+    return float(s.evaluate_many(q[None, :])[0])
 
 
 def to_json(s: Interpolant) -> str:

@@ -43,7 +43,7 @@ from .geometry import (
     PointSet,
     as_pexponent,
     build_distance_matrix,
-    pow_abs,
+    power_sum_blocks,
 )
 
 MAX_BERNSTEIN_DEGREE = 50  # Pascal-row binomials stay exact in doubles through here
@@ -79,16 +79,6 @@ def bernstein_half(i: int, p: PLike) -> float:
     if i < 1:
         raise ValueError(f"degree must be >= 1, got {i}")
     return _bernstein_sum(i, as_pexponent(p).p) * 2.0 ** (-i)
-
-
-def vertex_psum(k: int, p: PLike) -> float:
-    """Sum of ||x||_p over the 2^k vertices of [0,1]^k: sum_l C(k,l) l^(1/p)."""
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
-    pe = as_pexponent(p)
-    row = _pascal_row(k)
-    ell = np.arange(1, k + 1)
-    return float(np.sum(row[1:] * np.power(ell, 1.0 / pe.p)))
 
 
 def psi(n: int, p: PLike) -> float:
@@ -152,16 +142,6 @@ def _sign_grid(k: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def _pdist_chunked(block_a: np.ndarray, block_b: np.ndarray, p: float, chunk: int = 128):
-    """Pairwise p-norm distances between rows of two blocks, row-chunked."""
-    out = np.empty((block_a.shape[0], block_b.shape[0]))
-    for start in range(0, block_a.shape[0], chunk):
-        stop = min(start + chunk, block_a.shape[0])
-        diffs = block_a[start:stop, None, :] - block_b[None, :, :]
-        out[start:stop] = np.power(pow_abs(diffs, p).sum(axis=2), 1.0 / p)
-    return out
-
-
 def _base_sample(block: np.ndarray, cap: int = 256) -> np.ndarray:
     """All rows up to `cap`, then a deterministic stride sample of base vertices."""
     if block.shape[0] <= cap:
@@ -172,15 +152,18 @@ def _base_sample(block: np.ndarray, cap: int = 256) -> np.ndarray:
 
 def _validate_cube_items(gm: np.ndarray, gn: np.ndarray, m: int, n: int, theta: float, p: float):
     rel = 1e-12
-    cross = _pdist_chunked(_base_sample(gm), gn, p)
     expected_cross = (1.0 + theta**p) ** (1.0 / p)
-    if np.abs(cross - expected_cross).max() > rel * expected_cross:
-        raise AssertionError("cross-pair distances are not constant at (1+theta^p)^(1/p)")
+    for _, _, sums in power_sum_blocks(_base_sample(gm), gn, p):
+        if np.abs(np.power(sums, 1.0 / p) - expected_cross).max() > rel * expected_cross:
+            raise AssertionError("cross-pair distances are not constant at (1+theta^p)^(1/p)")
     for block, k, scale in ((gm, m, 1.0), (gn, n, theta)):
-        sums = _pdist_chunked(_base_sample(block), block, p).sum(axis=1)
         expected = 2.0 * scale * _bernstein_sum(k, p)
-        if np.abs(sums - expected).max() > rel * max(1.0, expected):
-            raise AssertionError("within-cube distance sums are not constant at the closed form")
+        for _, _, sums in power_sum_blocks(_base_sample(block), block, p):
+            row_sums = np.power(sums, 1.0 / p).sum(axis=1)
+            if np.abs(row_sums - expected).max() > rel * max(1.0, expected):
+                raise AssertionError(
+                    "within-cube distance sums are not constant at the closed form"
+                )
 
 
 def cube_config(

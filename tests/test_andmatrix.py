@@ -97,6 +97,14 @@ class TestCheckAnd:
         assert rep.verdict == "strictly-AND"
         assert rep.det_sign == 1  # (-1)^4
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_verdict_independent_of_scale(self, scale):
+        # every cut-off is tol * |A|_max, so tiny and huge units read alike
+        x = np.random.default_rng(13).standard_normal((6, 3)) * scale
+        rep = check_and(build_distance_matrix(x, 1.5).entries)
+        assert rep.verdict == "strictly-AND"
+        assert rep.det_sign == -1  # (-1)^(6-1)
+
     def test_not_and(self):
         rep = check_and(np.eye(3))
         assert rep.verdict == "not-AND"

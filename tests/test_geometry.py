@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import pth_power_matrix
 
 from pnormdist.errors import InputError
 from pnormdist.geometry import (
@@ -16,11 +18,25 @@ from pnormdist.geometry import (
     write_matrix_csv,
     write_points_csv,
 )
+from pnormdist.profiles import multiquadric
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 UNIT_SQUARE_1NORM = np.array(
     [[0.0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
 )
+
+
+def gathered_distance_matrix(x, p, profile):
+    """Reference assembly: all unordered pairs gathered at once, mapped, mirrored."""
+    n = x.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    sums = pth_power_matrix(x, p)[iu, ju]
+    vals = np.power(sums, 1.0 / p) if profile is None else profile.apply_to_power_sums(sums, p)
+    A = np.zeros((n, n))
+    A[iu, ju] = vals
+    A[ju, iu] = vals
+    np.fill_diagonal(A, 0.0 if profile is None else profile(0.0))
+    return A
 
 
 class TestPExponent:
@@ -147,6 +163,36 @@ class TestBuildDistanceMatrix:
         A = build_distance_matrix(x, 1.4).entries
         B = build_distance_matrix(shifted, 1.4).entries
         assert np.allclose(A, B, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 6),
+        p=st.floats(0.5, 4.0, exclude_min=True),
+        profile=st.sampled_from([None, multiquadric()]),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=300, d=6, p=1.5, profile=None, grid=False, seed=0)  # 9 blocks, last partial
+    @example(n=257, d=5, p=3.0, profile=multiquadric(), grid=True, seed=1)
+    def test_blocks_match_gathered_assembly(self, n, d, p, profile, grid, seed):
+        # integer grids make coincident points and zero coordinate differences
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, (n, d)).astype(float) if grid else rng.standard_normal((n, d))
+        A = build_distance_matrix(x, p, profile).entries
+        assert np.array_equal(A, gathered_distance_matrix(x, p, profile))
+
+    def test_peak_memory_is_output_plus_a_block(self):
+        n = 3000
+        x = np.random.default_rng(6).standard_normal((n, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dm = build_distance_matrix(x, 1.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < dm.entries.nbytes + 16 * 2**20
 
 
 class TestCsv:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnormdist import interpolation
 from pnormdist.errors import SingularSystemError
-from pnormdist.geometry import PointSet
+from pnormdist.geometry import PointSet, pow_abs
 from pnormdist.interpolation import evaluate_interpolant, fit
 from pnormdist.profiles import identity, multiquadric
 from pnormdist.singular import cube_config, find_pn, reduced_system
@@ -121,6 +123,36 @@ class TestEvaluate:
         )
         for center in cfg.points.points:
             assert abs(s(center)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        k=st.integers(0, 700),
+        d=st.integers(1, 4),
+        p=st.floats(0.5, 4.0, exclude_min=True),
+        profile=st.sampled_from([identity(), multiquadric()]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=200, k=700, d=3, p=1.5, profile=identity(), seed=0)  # 7 query blocks
+    def test_blocks_match_per_query_dot(self, n, k, d, p, profile, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.standard_normal((n, d))
+        at_centers = min(n, k // 2)  # queries on a centre give zero differences
+        queries = np.vstack([centers[:at_centers], rng.standard_normal((k - at_centers, d))])
+        coeffs = rng.standard_normal(n)
+        s = interpolation.Interpolant(
+            centers=PointSet(centers),
+            coefficients=coeffs,
+            p=interpolation.as_pexponent(p),
+            profile=profile,
+            condition_estimate=1.0,
+            guaranteed=False,
+        )
+        expected = [
+            np.dot(coeffs, profile.apply_to_power_sums(pow_abs(centers - q, p).sum(1), p))
+            for q in queries
+        ]
+        assert np.array_equal(s.evaluate_many(queries), np.array(expected))
 
     def test_dimension_mismatch_rejected(self):
         s = fit([[0.0], [1.0]], [0.0, 1.0], 1.5)
