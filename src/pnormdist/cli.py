@@ -13,12 +13,13 @@ failed certificates, verdict mismatches).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import interpolation, profiles, serialize, singular
-from .andmatrix import check_and, schoenberg_embed
+from .andmatrix import DEFAULT_EIG_TOL, check_and, schoenberg_embed
 from .errors import CertificationError, InputError
 from .geometry import (
     build_distance_matrix,
@@ -35,42 +36,18 @@ EXIT_CERT = 3
 
 
 def parse_profile(text: str) -> profiles.RadialProfile:
-    """Parse a profile flag: JSON, or NAME[:PARAM][@CONVENTION] shorthand."""
+    """Parse a profile flag: JSON, or the NAME[:PARAM][@CONVENTION] shorthand for it."""
     text = text.strip()
     if text.startswith("{"):
-        try:
-            return profiles.from_json_dict(serialize.loads(text))
-        except (ValueError, KeyError) as exc:
-            raise InputError(f"bad profile JSON: {exc}") from None
-    convention = None
-    if "@" in text:
-        text, convention = text.split("@", 1)
-    name, _, param = text.partition(":")
-    try:
-        if name == "identity":
-            made = profiles.identity()
-        elif name == "power":
-            made = profiles.power(float(param))
-        elif name == "multiquadric":
-            made = profiles.multiquadric()
-        elif name == "exponential":
-            made = profiles.exponential()
-        else:
-            raise InputError(
-                f"unknown profile {name!r} (expected identity, power:TAU, "
-                f"multiquadric, exponential, or JSON)"
-            )
-    except ValueError as exc:
-        raise InputError(f"bad profile parameter: {exc}") from None
-    if convention is not None:
-        if convention not in (
-            profiles.DISTANCE,
-            profiles.SQUARED_DISTANCE,
-            profiles.PTH_POWER_DISTANCE,
-        ):
-            raise InputError(f"unknown input convention {convention!r}")
-        made = made.with_convention(convention)
-    return made
+        return profiles.from_json_dict(serialize.loads(text))
+    body, at, convention = text.partition("@")
+    name, colon, param = body.partition(":")
+    expr = {"kind": name}
+    if colon:
+        expr["tau"] = param
+    if at:
+        expr["input_convention"] = convention
+    return profiles.from_json_dict(expr)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -82,20 +59,28 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(v) for v in parts)
     except ValueError:
         raise InputError(f"grid values must be numbers: {spec!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise InputError(f"grid values must be finite: {spec!r}")
     if step <= 0:
         raise InputError(f"grid step must be positive, got {step}")
     if lo > hi:
         return np.array([])
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    count = np.floor((hi - lo) / step + 1e-9) + 1
+    if not math.isfinite(count):
+        raise InputError(f"grid {spec!r} has more points than a float can count")
+    return lo + step * np.arange(int(count))
 
 
-def _tol_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--tol-eig", type=float, default=1e-10, help="eigenvalue tolerance")
-    parent.add_argument("--tol-root", type=float, default=1e-12, help="root bracket tolerance")
-    parent.add_argument("--tol-cert", type=float, default=1e-8, help="certification tolerance")
-    return parent
+def tolerance(text: str) -> float:
+    """argparse type of every tolerance flag: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _add_tolerance(sp, flag: str, default: float, what: str) -> None:
+    sp.add_argument(flag, type=tolerance, default=default, help=f"{what} (default %(default)g)")
 
 
 def cmd_distmat(args) -> int:
@@ -116,10 +101,7 @@ def _load_matrix_for_check(args) -> np.ndarray:
 
 def cmd_check_and(args) -> int:
     A = _load_matrix_for_check(args)
-    try:
-        report = check_and(A, tol=args.tol_eig)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = check_and(A, tol=args.tol_eig)
     text = serialize.dumps(report.to_json_dict())
     print(text)
     if args.out:
@@ -159,10 +141,7 @@ def cmd_singular_config(args) -> int:
             raise InputError("--n is required")
         if args.m is not None and args.n is not None and args.m != args.n:
             raise InputError("theta scaling applies to equal cubes: --p requires m = n")
-        try:
-            root = singular.find_theta(n, args.p, tol=args.tol_root)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        root = singular.find_theta(n, args.p, tol=args.tol_root)
         config = singular.cube_config(n, n, theta=root.value, p=args.p)
     else:
         if args.m is None or args.n is None:
@@ -240,55 +219,62 @@ def build_parser() -> argparse.ArgumentParser:
         "search singular configurations, interpolate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = _tol_parent()
 
-    sp = sub.add_parser("distmat", parents=[tol], help="points CSV -> distance matrix CSV")
+    sp = sub.add_parser("distmat", help="points CSV -> distance matrix CSV")
     sp.add_argument("points")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--profile", default="identity")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_distmat)
 
-    sp = sub.add_parser("check-and", parents=[tol], help="AND verdict as JSON")
+    sp = sub.add_parser("check-and", help="AND verdict as JSON")
     sp.add_argument("input")
     sp.add_argument("--kind", choices=["points", "matrix"], default="points")
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--profile", default="identity")
     sp.add_argument("--out")
+    _add_tolerance(sp, "--tol-eig", DEFAULT_EIG_TOL, "eigenvalue cut-off relative to |A|_max")
     sp.set_defaults(func=cmd_check_and)
 
-    sp = sub.add_parser("embed", parents=[tol], help="squared-distance embedding of an AND matrix")
+    sp = sub.add_parser("embed", help="squared-distance embedding of an AND matrix")
     sp.add_argument("matrix")
     sp.add_argument("--out", required=True)
+    _add_tolerance(sp, "--tol-eig", DEFAULT_EIG_TOL, "eigenvalue cut-off relative to |A|_max")
     sp.set_defaults(func=cmd_embed)
 
-    sp = sub.add_parser("find-pn", parents=[tol], help="critical exponents p_n as CSV")
+    sp = sub.add_parser("find-pn", help="critical exponents p_n as CSV")
     sp.add_argument("--n-min", type=int, required=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--json-out", help="also emit the table as JSON")
+    _add_tolerance(sp, "--tol-root", singular.DEFAULT_ROOT_TOL, "largest root bracket width")
     sp.set_defaults(func=cmd_find_pn)
 
-    sp = sub.add_parser(
-        "singular-config", parents=[tol], help="certified singular configuration"
-    )
+    sp = sub.add_parser("singular-config", help="certified singular configuration")
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--p", type=float, help="target exponent; theta is then solved (m = n)")
     sp.add_argument("--out-points", required=True)
     sp.add_argument("--out-cert", required=True)
     sp.add_argument("--cert-cap", type=int, default=singular.DEFAULT_CERT_SIDE_CAP)
+    _add_tolerance(sp, "--tol-root", singular.DEFAULT_ROOT_TOL, "largest root bracket width")
+    _add_tolerance(
+        sp, "--tol-cert", singular.DEFAULT_CERT_TOL, "largest sigma_min/sigma_max and null residual"
+    )
     sp.set_defaults(func=cmd_singular_config)
 
-    sp = sub.add_parser("interp", parents=[tol], help="fit and evaluate an interpolant")
+    sp = sub.add_parser("interp", help="fit and evaluate an interpolant")
     sp.add_argument("data")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--profile", default="identity")
     sp.add_argument("--query-file", required=True)
     sp.add_argument("--out", required=True)
+    _add_tolerance(
+        sp, "--tol-cert", interpolation.DEFAULT_FIT_TOL, "largest relative fit residual"
+    )
     sp.set_defaults(func=cmd_interp)
 
-    sp = sub.add_parser("scan-psi", parents=[tol], help="psi_n values on a p grid as CSV")
+    sp = sub.add_parser("scan-psi", help="psi_n values on a p grid as CSV")
     sp.add_argument("--n", required=True, help="comma-separated list of n values")
     sp.add_argument("--p-grid", required=True, help="lo:hi:step")
     sp.add_argument("--out", required=True)
@@ -303,9 +289,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -24,7 +24,7 @@ squared distance r^2, or the p-th power r^p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,9 +67,6 @@ class RadialProfile:
 
     def __call__(self, t):
         return evaluate(self, t)
-
-    def with_convention(self, convention: str) -> "RadialProfile":
-        return replace(self, input_convention=convention)
 
     def apply_to_power_sums(self, sums, p: float) -> np.ndarray:
         """Map pairwise p-th-power sums s = ||x_i - x_j||_p^p to profile values."""
@@ -370,21 +367,32 @@ def to_json_dict(profile: RadialProfile) -> dict:
     return out
 
 
-def from_json_dict(obj: dict) -> RadialProfile:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"not a profile expression: {obj!r}")
-    kind = obj["kind"]
+_LEAVES = {"identity": identity, "multiquadric": multiquadric, "exponential": exponential}
+_PARAMETERS = {**dict.fromkeys(_LEAVES, ()), "power": ("tau",), "composition": ("outer", "inner")}
+
+
+def from_json_dict(obj) -> RadialProfile:
+    """The profile of a JSON expression; a malformed expression raises ValueError.
+
+    An expression holds "kind", an optional "input_convention" and exactly
+    the parameters of its kind: "tau" for power (a number, or the decimal
+    string the CLI shorthand NAME[:PARAM][@CONVENTION] passes), "outer" and
+    "inner" for composition.
+    """
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _PARAMETERS:
+        raise ValueError(f"not a profile expression: {obj!r} (kinds: {', '.join(_PARAMETERS)})")
+    params = _PARAMETERS[kind]
+    if set(obj) - {"kind", "input_convention"} != set(params):
+        raise ValueError(f"{kind} profile takes {' and '.join(params) or 'no parameter'}: {obj!r}")
     convention = obj.get("input_convention")
-    if kind == "identity":
-        return identity(convention or DISTANCE)
-    if kind == "power":
-        return power(float(obj["tau"]), convention or DISTANCE)
-    if kind == "multiquadric":
-        return multiquadric(convention or DISTANCE)
-    if kind == "exponential":
-        return exponential(convention or DISTANCE)
     if kind == "composition":
-        outer = from_json_dict(obj["outer"])
-        inner = from_json_dict(obj["inner"])
-        return compose(outer, inner, convention)
-    raise ValueError(f"unknown profile kind: {kind!r}")
+        return compose(from_json_dict(obj["outer"]), from_json_dict(obj["inner"]), convention)
+    convention = DISTANCE if convention is None else convention
+    if kind != "power":
+        return _LEAVES[kind](convention)
+    try:
+        tau = float(obj["tau"])
+    except (TypeError, ValueError):
+        raise ValueError(f"power profile needs a numeric tau, got {obj['tau']!r}") from None
+    return power(tau, convention)

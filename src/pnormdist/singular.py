@@ -338,21 +338,19 @@ def find_pmn(m: int, n: int, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
 def find_theta(n: int, p: PLike, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
     """The cube rescaling theta* in (0, 1) making the (n, n) pair singular at p.
 
-    Requires p > p_n so that phi_scaled(n, 1, p) = phi(n, n, p) > 0; the lower
-    end of the theta bracket halves until the value goes negative (the
-    theta -> 0 limit is -1).
+    Requires p > p_n so that phi_scaled(n, 1, p) = phi(n, n, p) > 0; psi_n is
+    strictly increasing, so that is psi_n(p) > 0, and p_n itself is only
+    computed for the error message. The lower end of the theta bracket
+    halves until the value goes negative (the theta -> 0 limit is -1).
     """
     pe = as_pexponent(p)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    pn = find_pn(n, tol)
-    if pe.p <= pn.value:
+    if psi(n, pe) <= 0.0:
         raise ValueError(
-            f"p ≤ p_n: a theta-scaled singular pair needs p > p_{n} = {pn.value:.12g}, "
-            f"got p = {pe.p}"
+            f"p ≤ p_n: a theta-scaled singular pair needs p > p_{n} = "
+            f"{find_pn(n, tol).value:.12g}, got p = {pe.p}"
         )
-    if phi_scaled(n, 1.0, pe) <= 0.0:
-        raise CertificationError("internal error: phi_scaled(n, 1, p) should be positive")
     theta_lo = 0.5
     for _ in range(200):
         if phi_scaled(n, theta_lo, pe) < 0.0:

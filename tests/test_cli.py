@@ -1,15 +1,27 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from pnormdist import profiles
 from pnormdist.cli import main
-from pnormdist.geometry import read_matrix_csv, read_points_csv
+from pnormdist.geometry import (
+    build_distance_matrix,
+    read_matrix_csv,
+    read_points_csv,
+    write_matrix_csv,
+)
 from pnormdist.serialize import dumps, fmt_float
 
 UNIT_SQUARE_CSV = "0,0\n1,0\n1,1\n0,1\n"
 UNIT_SQUARE_1NORM = np.array([[0.0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+
+
+README_COMPOSITION = (
+    '{"kind":"composition","outer":{"kind":"power","tau":0.5},"inner":{"kind":"power","tau":0.75}}'
+)
 
 
 @pytest.fixture
@@ -17,6 +29,18 @@ def square_file(tmp_path):
     path = tmp_path / "square.csv"
     path.write_text(UNIT_SQUARE_CSV)
     return path
+
+
+def assert_input_error(capsys, argv):
+    """argv exits 2 (from argparse or from main) with one error: line and no traceback."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 class TestDistmat:
@@ -47,6 +71,104 @@ class TestDistmat:
         pts.write_text("1,2\n3,França\n")
         out = tmp_path / "mat.csv"
         assert main(["distmat", str(pts), "--p", "1", "--out", str(out)]) == 2
+
+
+class TestProfileFlag:
+    @pytest.mark.parametrize(
+        "flag, made",
+        [
+            ("identity", profiles.identity()),
+            ("power:0.65", profiles.power(0.65)),
+            ("multiquadric", profiles.multiquadric()),
+            ("exponential", profiles.exponential()),
+            ("power:0.65@p-th-power-distance", profiles.power(0.65, profiles.PTH_POWER_DISTANCE)),
+            ("identity@squared-distance", profiles.identity(profiles.SQUARED_DISTANCE)),
+            (README_COMPOSITION, profiles.compose(profiles.power(0.5), profiles.power(0.75))),
+        ],
+    )
+    def test_matches_library_profile(self, tmp_path, flag, made):
+        rng = np.random.default_rng(45)
+        x = rng.random((9, 3))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("\n".join(",".join(fmt_float(v) for v in row) for row in x) + "\n")
+        out, ref = tmp_path / "mat.csv", tmp_path / "ref.csv"
+        assert main(["distmat", str(pts), "--p", "1.5", "--profile", flag, "--out", str(out)]) == 0
+        write_matrix_csv(ref, build_distance_matrix(x, 1.5, made))
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "power",
+            "power:0.5@bogus",
+            '{"kind":"composition"}',
+            "{",
+            "identity:3",
+            "multiquadric:banana",
+            "exponential:1",
+            "identity@",
+            '{"kind":"power","tau":null}',
+            '{"kind":"power","tau":[1]}',
+            '{"kind":"identity","tau":3}',
+            '{"kind":"multiquadric","tau":0.5}',
+            '{"kind":"exponential","tau":0.5}',
+        ],
+    )
+    def test_malformed_exit_2(self, tmp_path, capsys, square_file, flag):
+        out = tmp_path / "mat.csv"
+        argv = ["distmat", str(square_file), "--p", "1.5", "--profile", flag, "--out", str(out)]
+        assert_input_error(capsys, argv)
+
+
+class TestToleranceFlags:
+    EXPECTED = {
+        "distmat": set(),
+        "check-and": {"--tol-eig"},
+        "embed": {"--tol-eig"},
+        "find-pn": {"--tol-root"},
+        "singular-config": {"--tol-root", "--tol-cert"},
+        "interp": {"--tol-cert"},
+        "scan-psi": set(),
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_help_lists_only_the_flags_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--tol-[a-z]+", capsys.readouterr().out))
+        assert listed == self.EXPECTED[command]
+
+    def test_flag_on_a_subcommand_that_ignores_it_exit_2(self, tmp_path, capsys, square_file):
+        out = tmp_path / "mat.csv"
+        assert_input_error(
+            capsys,
+            ["distmat", str(square_file), "--p", "1.5", "--out", str(out), "--tol-eig", "1e-10"],
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "banana"])
+    def test_check_and_bad_tol_eig_exit_2(self, capsys, square_file, value):
+        argv = ["check-and", str(square_file), "--p", "1.5", "--tol-eig", value]
+        assert_input_error(capsys, argv)
+
+    def test_singular_config_nan_tol_cert_exit_2(self, tmp_path, capsys):
+        outp, outc = tmp_path / "pts.csv", tmp_path / "cert.json"
+        assert_input_error(
+            capsys,
+            ["singular-config", "--m", "2", "--n", "2", "--tol-cert", "nan",
+             "--out-points", str(outp), "--out-cert", str(outc)],
+        )
+        assert not outc.exists()
+
+    def test_find_pn_nan_tol_root_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "pn.csv"
+        argv = ["find-pn", "--n-min", "2", "--n-max", "3", "--tol-root", "nan", "--out", str(out)]
+        assert_input_error(capsys, argv)
+        assert not out.exists()
+
+    def test_zero_tolerance_is_legal(self, capsys, square_file):
+        assert main(["check-and", str(square_file), "--p", "1.5", "--tol-eig", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "strictly-AND"
 
 
 class TestCheckAnd:
@@ -268,6 +390,13 @@ class TestScanPsi:
         rc = main(["scan-psi", "--n", "1,2", "--p-grid", "3:2:1", "--out", str(out)])
         assert rc == 0
         assert out.read_text() == "p,psi_1,psi_2\n"
+
+    @pytest.mark.parametrize(
+        "grid", ["2:inf:1", "2:3:nan", "-inf:3:1", "2:3:inf", "-1e308:1e308:1e308", "2:3:1e-310"]
+    )
+    def test_non_finite_grid_exit_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "psi.csv"
+        assert_input_error(capsys, ["scan-psi", "--n", "2", f"--p-grid={grid}", "--out", str(out)])
 
     def test_json_output(self, tmp_path):
         out, jout = tmp_path / "psi.csv", tmp_path / "psi.json"

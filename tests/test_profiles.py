@@ -230,6 +230,34 @@ class TestJson:
         }
         assert from_json_dict(d) == comp
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            None,
+            [1],
+            {},
+            {"kind": [1]},
+            {"kind": "spline"},
+            {"kind": "power"},
+            {"kind": "power", "tau": None},
+            {"kind": "power", "tau": [1]},
+            {"kind": "power", "tau": "banana"},
+            {"kind": "power", "tau": 0.5, "outer": {"kind": "identity"}},
+            {"kind": "identity", "tau": 3},
+            {"kind": "multiquadric", "tau": "banana"},
+            {"kind": "exponential", "tau": 1.0},
+            {"kind": "identity", "input_convention": ""},
+            {"kind": "identity", "input_convention": "bogus"},
+            {"kind": "composition"},
+            {"kind": "composition", "outer": {"kind": "identity"}},
+            {"kind": "composition", "outer": {"kind": "identity"}, "inner": 3},
+        ],
+        ids=repr,
+    )
+    def test_malformed_expression_raises_value_error(self, expr):
+        with pytest.raises(ValueError):
+            from_json_dict(expr)
+
     def test_explicit_convention_emitted_only_when_nondefault(self):
         assert "input_convention" not in to_json_dict(power(0.5))
         assert to_json_dict(power(0.5, SQUARED_DISTANCE))["input_convention"] == SQUARED_DISTANCE

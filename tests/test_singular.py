@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pnormdist import singular
 from pnormdist.errors import CertificationError
 from pnormdist.geometry import build_distance_matrix, pnorm
 from pnormdist.singular import (
@@ -299,6 +300,15 @@ class TestFindTheta:
     def test_rejects_p_below_pn(self):
         with pytest.raises(ValueError, match="p ≤ p_n"):
             find_theta(2, 2.5)
+
+    def test_p_above_pn_needs_no_pn_bisection(self, monkeypatch):
+        expected = find_theta(3, 3.0)
+
+        def no_find_pn(*args, **kwargs):
+            raise AssertionError("find_theta ran find_pn for p > p_n")
+
+        monkeypatch.setattr(singular, "find_pn", no_find_pn)
+        assert find_theta(3, 3.0) == expected
 
 
 class TestCertification:
