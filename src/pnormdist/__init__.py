@@ -61,7 +61,6 @@ from .singular import (
     find_pn,
     find_theta,
     phi,
-    phi_scaled,
     psi,
     psi_limit,
     rate_table,
@@ -109,7 +108,6 @@ __all__ = [
     "matrix_from_profile",
     "multiquadric",
     "phi",
-    "phi_scaled",
     "pnorm",
     "power",
     "psd_factor",

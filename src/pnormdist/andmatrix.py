@@ -86,13 +86,17 @@ def restrict_to_zero_sum(A) -> np.ndarray:
 
     Returns the (n-1) x (n-1) matrix B' with B'_ij = A_in + A_nj - A_ij - A_nn.
     A is AND iff B' is non-negative definite; strictly AND iff positive
-    definite.
+    definite. Raises ValueError when an entry of B' overflows a double.
     """
     A = _require_symmetric(A)
     n = A.shape[0]
     if n < 2:
         raise ValueError("need n >= 2")
-    return A[:-1, -1][:, None] + A[-1, :-1][None, :] - A[:-1, :-1] - A[-1, -1]
+    with np.errstate(over="ignore"):
+        B = A[:-1, -1][:, None] + A[-1, :-1][None, :] - A[:-1, :-1] - A[-1, -1]
+    if not np.isfinite(B).all():
+        raise ValueError("the zero-sum restriction of the matrix overflows a double; rescale it")
+    return B
 
 
 def ldl_factor(A):

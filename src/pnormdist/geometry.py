@@ -17,6 +17,7 @@ d float columns (no header); matrices are CSV with n rows of n floats.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
@@ -136,14 +137,15 @@ def pow_abs(values, p: float) -> np.ndarray:
 
     The exp/log form avoids platform-dependent pow corner cases. It runs in
     place on one copy of |values|; ln 0 = -inf, so zero entries come out
-    exactly 0.
+    exactly 0, and a result beyond the double range comes out inf without a
+    warning (`power_sum_blocks` rejects it).
     """
     a = np.asarray(values, dtype=float)
     out = np.abs(a, out=np.empty_like(a))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         np.log(out, out=out)
-    out *= p
-    np.exp(out, out=out)
+        out *= p
+        np.exp(out, out=out)
     return out
 
 
@@ -169,7 +171,9 @@ def power_sum_blocks(
     `a` and `b` are float arrays of shape (n, d) and (m, d); the row blocks
     of `a` cover it in order. With b=None the blocks are the
     upper ones, a[start:stop] against a[start:], so sums[i, j] pairs rows
-    start+i and start+j of `a`.
+    start+i and start+j of `a`. Raises ValueError when a sum overflows a
+    double, or underflows to 0 for two rows that differ: either would turn
+    a distance into inf or 0 and the verdicts built on it into nonsense.
     """
     upper = b is None
     if upper:
@@ -178,8 +182,17 @@ def power_sum_blocks(
     for start in range(0, a.shape[0], rows):
         stop = min(start + rows, a.shape[0])
         other = b[start:] if upper else b
-        diffs = a[start:stop, None, :] - other[None, :, :]
-        yield start, stop, pow_abs(diffs, p).sum(axis=2)
+        with np.errstate(over="ignore"):
+            diffs = a[start:stop, None, :] - other[None, :, :]
+            sums = pow_abs(diffs, p).sum(axis=2)
+        if not sums.max() < np.inf:
+            raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
+        if diffs[sums == 0.0].any():
+            raise ValueError(
+                f"p-norm distances of distinct points underflow to 0 at p = {p:g}; "
+                "rescale the points"
+            )
+        yield start, stop, sums
 
 
 def build_distance_matrix(
@@ -230,6 +243,10 @@ def _read_rows(path) -> list[list[float]]:
                     raise InputError(
                         f"{path}:{lineno}: column {col}: not a number: {cell.strip()!r}"
                     ) from None
+                if not math.isfinite(vals[-1]):
+                    raise InputError(
+                        f"{path}:{lineno}: column {col}: not a finite number: {cell.strip()!r}"
+                    )
             if width is None:
                 width = len(vals)
             elif len(vals) != width:

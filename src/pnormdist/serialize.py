@@ -76,8 +76,3 @@ def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))
         fh.write("\n")
-
-
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.loads(fh.read())

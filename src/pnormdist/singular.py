@@ -3,7 +3,7 @@
 For p > 2, take the 2^m vertices of [-m^(-1/p), m^(-1/p)]^m and the 2^n
 vertices of [theta*(-n^(-1/p)), theta*n^(-1/p)]^n, embedded in orthogonal
 coordinate blocks of R^(m+n). Two facts collapse the (2^m+2^n)-point
-interpolation system to a 2x2 system:
+interpolation system to the 2x2 system `reduced_system(m, n, theta, p)`:
 
   (i)  every cross-pair distance equals (1 + theta^p)^(1/p) (= 2^(1/p) at
        theta = 1), and
@@ -13,25 +13,26 @@ interpolation system to a 2x2 system:
 Scaling the 2x2 determinant by 2^-(m+n) produces, in terms of the Bernstein
 value B_i = 2^-i sum_j C(i,j) (j/i)^(1/p) of t -> t^(1/p) at 1/2,
 
-    phi(m, n, p)           = 4 B_m B_n - 2^(2/p)          (theta = 1)
-    phi_scaled(n, theta,p) = 4 theta B_n^2 - (1+theta^p)^(2/p)
-    psi(n, p)              = 2 B_n - 2^(1/p)
+    phi(m, n, p, theta) = 4 theta B_m B_n - (1 + theta^p)^(2/p)
+    psi(n, p)           = 2 B_n - 2^(1/p)
 
-with the factorization phi(n,n) = (2 B_n + 2^(1/p)) * psi(n). psi_n is
-strictly increasing in p, negative at p = 2, with limit 1 - 2^(1-n) as
-p -> inf, so for n >= 2 it has a unique root p_n > 2 and the cube pair is
-singular exactly there; p_n decreases to 2 at rate O(1/n). For p between
+with the factorization phi(n,n,p) = (2 B_n + 2^(1/p)) * psi(n) at theta = 1.
+psi_n is strictly increasing in p, negative at p = 2, with limit 1 - 2^(1-n)
+as p -> inf, so for n >= 2 it has a unique root p_n > 2 and the cube pair
+is singular exactly there; p_n decreases to 2 at rate O(1/n). For p between
 the roots, rescaling the second cube by a solved theta* < 1 restores
 singularity, which covers every p > 2.
 
 Root finding is plain bisection: monotonicity makes it certified-correct
-and no derivative is needed. The full-matrix certification (smallest
-singular value plus an explicit block-constant null vector) is the trust
-anchor for the 2x2 reduction.
+and no derivative is needed. `certify_singular` is the trust anchor for the
+2x2 reduction: on the full distance matrix it checks facts (i) and (ii)
+entry by entry and row by row against the reduced system, then the smallest
+singular value and an explicit block-constant null vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,32 +44,22 @@ from .geometry import (
     PointSet,
     as_pexponent,
     build_distance_matrix,
-    power_sum_blocks,
 )
 
-MAX_BERNSTEIN_DEGREE = 50  # Pascal-row binomials stay exact in doubles through here
+MAX_BERNSTEIN_DEGREE = 50  # binomials C(k, j) stay exact in doubles through here
+MAX_CUBE_SIDE = 12  # cube pairs up to 2^12 + 2^12 points
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_CERT_TOL = 1e-8
 DEFAULT_CERT_SIDE_CAP = 5  # full matrices up to 2^5 + 2^5 = 64 points
-DEFAULT_CUBE_SIDE_CAP = 12
-
-
-def _pascal_row(k: int) -> np.ndarray:
-    """Binomial coefficients C(k, 0..k) by the iterative Pascal-row recurrence.
-
-    Exact in double precision through k = 50 (intermediates stay below 2^53).
-    """
-    if not 0 <= k <= MAX_BERNSTEIN_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_BERNSTEIN_DEGREE}], got {k}")
-    row = np.ones(k + 1)
-    for i in range(1, k + 1):
-        row[i] = row[i - 1] * (k - i + 1) / i
-    return row
+REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
 
 
 def _bernstein_sum(k: int, p: float) -> float:
     """sum_{j=1}^{k} C(k,j) (j/k)^(1/p): 2^k times the Bernstein value at 1/2."""
-    return float(np.sum(_pascal_row(k)[1:] * np.power(np.arange(1, k + 1) / k, 1.0 / p)))
+    if not 0 <= k <= MAX_BERNSTEIN_DEGREE:
+        raise ValueError(f"degree must be in [0, {MAX_BERNSTEIN_DEGREE}], got {k}")
+    binomials = np.array([math.comb(k, j) for j in range(1, k + 1)], dtype=float)
+    return float(np.sum(binomials * np.power(np.arange(1, k + 1) / k, 1.0 / p)))
 
 
 def bernstein_half(i: int, p: PLike) -> float:
@@ -93,19 +84,14 @@ def psi_limit(p: PLike) -> float:
     return 2.0 ** (1.0 - 1.0 / pe.p) - 2.0 ** (1.0 / pe.p)
 
 
-def phi(m: int, n: int, p: PLike) -> float:
-    """Scaled determinant 4 B_m B_n - 2^(2/p) of the unscaled cube pair."""
-    pe = as_pexponent(p)
-    return 4.0 * bernstein_half(m, pe) * bernstein_half(n, pe) - 2.0 ** (2.0 / pe.p)
-
-
-def phi_scaled(n: int, theta: float, p: PLike) -> float:
-    """Scaled determinant 4 theta B_n^2 - (1 + theta^p)^(2/p) of the theta pair."""
+def phi(m: int, n: int, p: PLike, theta: float = 1.0) -> float:
+    """Scaled determinant 4 theta B_m B_n - (1 + theta^p)^(2/p) of the cube pair."""
     pe = as_pexponent(p)
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-    b = bernstein_half(n, pe)
-    return 4.0 * theta * b * b - (1.0 + theta**pe.p) ** (2.0 / pe.p)
+    return 4.0 * theta * bernstein_half(m, pe) * bernstein_half(n, pe) - (
+        1.0 + theta**pe.p
+    ) ** (2.0 / pe.p)
 
 
 # ---------------------------------------------------------------------------
@@ -142,46 +128,10 @@ def _sign_grid(k: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def _base_sample(block: np.ndarray, cap: int = 256) -> np.ndarray:
-    """All rows up to `cap`, then a deterministic stride sample of base vertices."""
-    if block.shape[0] <= cap:
-        return block
-    stride = max(1, block.shape[0] // cap)
-    return block[::stride]
-
-
-def _validate_cube_items(gm: np.ndarray, gn: np.ndarray, m: int, n: int, theta: float, p: float):
-    rel = 1e-12
-    expected_cross = (1.0 + theta**p) ** (1.0 / p)
-    for _, _, sums in power_sum_blocks(_base_sample(gm), gn, p):
-        if np.abs(np.power(sums, 1.0 / p) - expected_cross).max() > rel * expected_cross:
-            raise AssertionError("cross-pair distances are not constant at (1+theta^p)^(1/p)")
-    for block, k, scale in ((gm, m, 1.0), (gn, n, theta)):
-        expected = 2.0 * scale * _bernstein_sum(k, p)
-        for _, _, sums in power_sum_blocks(_base_sample(block), block, p):
-            row_sums = np.power(sums, 1.0 / p).sum(axis=1)
-            if np.abs(row_sums - expected).max() > rel * max(1.0, expected):
-                raise AssertionError(
-                    "within-cube distance sums are not constant at the closed form"
-                )
-
-
-def cube_config(
-    m: int,
-    n: int,
-    theta: float,
-    p: PLike,
-    side_cap: int = DEFAULT_CUBE_SIDE_CAP,
-    validate: bool = True,
-) -> CubeConfig:
-    """Build the two-cube configuration and verify its reduction identities.
-
-    Post-construction checks (constant cross distance; within-cube sums equal
-    to the binomial closed form from every base vertex) guard the 2x2
-    reduction; they can be skipped with validate=False for bulk work.
-    """
-    if not (1 <= m <= side_cap and 1 <= n <= side_cap):
-        raise ValueError(f"m and n must be in [1, {side_cap}], got m={m}, n={n}")
+def cube_config(m: int, n: int, theta: float, p: PLike) -> CubeConfig:
+    """Build the two-cube configuration; `certify_singular` checks its reduction."""
+    if not (1 <= m <= MAX_CUBE_SIDE and 1 <= n <= MAX_CUBE_SIDE):
+        raise ValueError(f"m and n must be in [1, {MAX_CUBE_SIDE}], got m={m}, n={n}")
     pe = as_pexponent(p)
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
@@ -191,8 +141,6 @@ def cube_config(
     gm[:, :m] = a * _sign_grid(m)
     gn = np.zeros((2**n, m + n))
     gn[:, m:] = b * _sign_grid(n)
-    if validate:
-        _validate_cube_items(gm, gn, m, n, theta, pe.p)
     points = PointSet(np.vstack([gm, gn]))
     if not points.is_distinct():
         raise AssertionError("cube configuration produced coincident points")
@@ -214,7 +162,7 @@ class ReducedSystem:
         return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
 
     def scaled_det(self) -> float:
-        """det / 2^(m+n); equals phi at theta = 1 and phi_scaled for m = n."""
+        """det / 2^(m+n); equals phi(m, n, p, theta)."""
         return self.det() * 2.0 ** (-(self.m + self.n))
 
     def kernel_coefficients(self):
@@ -338,10 +286,11 @@ def find_pmn(m: int, n: int, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
 def find_theta(n: int, p: PLike, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
     """The cube rescaling theta* in (0, 1) making the (n, n) pair singular at p.
 
-    Requires p > p_n so that phi_scaled(n, 1, p) = phi(n, n, p) > 0; psi_n is
-    strictly increasing, so that is psi_n(p) > 0, and p_n itself is only
-    computed for the error message. The lower end of the theta bracket
-    halves until the value goes negative (the theta -> 0 limit is -1).
+    Bisects phi(n, n, p, theta) over theta. Requires p > p_n so that
+    phi(n, n, p, 1) > 0; psi_n is strictly increasing, so that is
+    psi_n(p) > 0, and p_n itself is only computed for the error message.
+    The lower end of the theta bracket halves until the value goes negative
+    (the theta -> 0 limit is -1).
     """
     pe = as_pexponent(p)
     if n < 2:
@@ -353,12 +302,12 @@ def find_theta(n: int, p: PLike, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
         )
     theta_lo = 0.5
     for _ in range(200):
-        if phi_scaled(n, theta_lo, pe) < 0.0:
+        if phi(n, n, pe, theta_lo) < 0.0:
             break
         theta_lo *= 0.5
     else:
         raise CertificationError("internal error: failed to bracket theta*")
-    return _bisect(lambda t: phi_scaled(n, t, pe), theta_lo, 1.0, tol)
+    return _bisect(lambda t: phi(n, n, pe, t), theta_lo, 1.0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +359,16 @@ def certify_singular(
 ) -> CertificationRecord:
     """End-to-end singularity certificate for a cube configuration at a root.
 
-    Builds the full (2^m + 2^n)-point p-norm distance matrix and checks both
-    sigma_min <= tol * sigma_max and that the block-constant vector
-    (lambda, ..., lambda, mu, ..., mu) from the reduced system's kernel is a
-    null vector to the same relative tolerance. Raises CertificationError on
-    failure (a reduction bug or a root residual too large). The side cap
-    bounds the 2^m + 2^n matrix work; raise it explicitly for larger cubes.
+    Builds the full (2^m + 2^n)-point p-norm distance matrix A and first
+    checks the 2x2 reduction on it: every cross entry equals
+    (1 + theta^p)^(1/p), and every row's two block sums equal the matching
+    row of `reduced_system(...).matrix`, both to relative REDUCTION_RTOL.
+    Then it checks sigma_min <= tol * sigma_max and that the block-constant
+    vector (lambda, ..., lambda, mu, ..., mu) from the reduced system's
+    kernel is a null vector to the same relative tolerance. Raises
+    CertificationError on failure (a reduction bug or a root residual too
+    large). The side cap bounds the 2^m + 2^n matrix work; raise it
+    explicitly for larger cubes.
     """
     if max(config.m, config.n) > side_cap:
         raise ValueError(
@@ -424,8 +377,20 @@ def certify_singular(
         )
     A = build_distance_matrix(config.points, config.p).entries
     rs = reduced_system(config.m, config.n, config.theta, config.p)
+    first, second = config.first_count, config.second_count
+    cross = rs.matrix[0, 1] / second  # exact: the entry is 2^n (1 + theta^p)^(1/p)
+    cross_dev = float(np.abs(A[:first, first:] - cross).max()) / cross
+    sums = np.stack([A[:, :first].sum(axis=1), A[:, first:].sum(axis=1)], axis=1)
+    expected = np.repeat(rs.matrix, [first, second], axis=0)
+    sums_dev = float((np.abs(sums - expected) / expected).max())
+    if not max(cross_dev, sums_dev) <= REDUCTION_RTOL:
+        raise CertificationError(
+            f"cube pair does not reduce to the 2x2 system: relative deviation of "
+            f"cross distances {cross_dev:.3e}, of row block sums {sums_dev:.3e}, "
+            f"limit {REDUCTION_RTOL:g}"
+        )
     lam, mu = rs.kernel_coefficients()
-    v = np.concatenate([np.full(config.first_count, lam), np.full(config.second_count, mu)])
+    v = np.concatenate([np.full(first, lam), np.full(second, mu)])
     sigma_min, sigma_max, residual = null_vector_residual(A, v)
     passed = sigma_min <= tol * sigma_max and residual <= tol
     record = CertificationRecord(

@@ -23,7 +23,6 @@ from pnormdist.singular import (
     find_pn,
     find_theta,
     phi,
-    phi_scaled,
     rate_table,
 )
 
@@ -153,7 +152,7 @@ def test_criterion_08_theta_sweep_covers_all_p():
             while find_pn(n).value >= p:
                 n += 1
             root = find_theta(n, p)
-            assert abs(phi_scaled(n, root.value, p)) < 1e-12
+            assert abs(phi(n, n, p, root.value)) < 1e-12
             record = certify_singular(cube_config(n, n, root.value, p), tol=1e-8)
             assert record.passed
 

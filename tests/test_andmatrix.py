@@ -55,6 +55,10 @@ class TestRestrictToZeroSum:
         with pytest.raises(ValueError, match="symmetric"):
             restrict_to_zero_sum(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_rejects_overflow(self):
+        with pytest.raises(ValueError, match="overflows"):
+            restrict_to_zero_sum(np.array([[0.0, 1e308], [1e308, 0.0]]))
+
     @settings(max_examples=60, deadline=None)
     @given(
         a=arrays(

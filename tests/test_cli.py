@@ -41,6 +41,7 @@ def assert_input_error(capsys, argv):
     assert rc == 2
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1
+    return err
 
 
 class TestDistmat:
@@ -302,6 +303,11 @@ class TestSingularConfig:
         assert rc == 2
         assert "p ≤ p_n" in capsys.readouterr().err
 
+    def test_side_12_stops_at_the_certification_cap(self, tmp_path, capsys):
+        argv = ["singular-config", "--n", "12", "--p", "3",
+                "--out-points", str(tmp_path / "pts.csv"), "--out-cert", str(tmp_path / "c.json")]
+        assert "capped at side 5" in assert_input_error(capsys, argv)
+
     def test_cert_json_round_trip(self, tmp_path):
         outp, outc = tmp_path / "pts.csv", tmp_path / "cert.json"
         main(["singular-config", "--m", "2", "--n", "3",
@@ -409,6 +415,45 @@ class TestScanPsi:
         assert [r["p"] for r in rows] == [2.0, 2.25, 2.5]
         assert rows[0]["psi_2"] == pytest.approx((1.0 - math.sqrt(2.0)) / 2.0)
         assert set(rows[0]) == {"p", "psi_2", "psi_3"}
+
+
+class TestOutOfRangeInput:
+    """Values a double cannot carry through end in exit 2, never in a wrong verdict."""
+
+    def test_non_finite_matrix_cell_exit_2(self, tmp_path, capsys):
+        mat = tmp_path / "mat.csv"
+        mat.write_text("0,inf\ninf,0\n")
+        for argv in (["check-and", str(mat), "--kind", "matrix"],
+                     ["embed", str(mat), "--out", str(tmp_path / "emb.csv")]):
+            assert "mat.csv:1: column 2: not a finite number" in assert_input_error(capsys, argv)
+
+    def test_overflowing_zero_sum_restriction_exit_2(self, tmp_path, capsys):
+        mat = tmp_path / "mat.csv"
+        mat.write_text("0,1e308\n1e308,0\n")
+        assert_input_error(capsys, ["check-and", str(mat), "--kind", "matrix"])
+
+    @pytest.mark.parametrize("far", ["1e300", "1e-250"])
+    def test_distances_out_of_double_range_exit_2(self, tmp_path, capsys, far):
+        pts = tmp_path / "two.csv"
+        pts.write_text(f"0,0\n{far},0\n")
+        assert_input_error(capsys, ["check-and", str(pts), "--p", "1.5"])
+        out = tmp_path / "mat.csv"
+        assert_input_error(capsys, ["distmat", str(pts), "--p", "1.5", "--out", str(out)])
+        assert not out.exists()
+        data = tmp_path / "data.csv"
+        data.write_text(f"0,0,1\n{far},0,2\n")
+        argv = ["interp", str(data), "--p", "1.5", "--query-file", str(pts),
+                "--out", str(tmp_path / "vals.csv")]
+        assert_input_error(capsys, argv)
+
+    def test_far_query_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0,0,1\n1,0,2\n")
+        queries = tmp_path / "q.csv"
+        queries.write_text("1e300,0\n")
+        argv = ["interp", str(data), "--p", "1.5", "--query-file", str(queries),
+                "--out", str(tmp_path / "vals.csv")]
+        assert_input_error(capsys, argv)
 
 
 class TestDeterminism:

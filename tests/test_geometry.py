@@ -182,6 +182,11 @@ class TestBuildDistanceMatrix:
         A = build_distance_matrix(x, p, profile).entries
         assert np.array_equal(A, gathered_distance_matrix(x, p, profile))
 
+    @pytest.mark.parametrize("far", [1e300, 1e-250])
+    def test_distances_out_of_double_range_raise(self, far):
+        with pytest.raises(ValueError, match="rescale the points"):
+            build_distance_matrix([[0.0, 0.0], [far, 0.0]], 1.5)
+
     def test_peak_memory_is_output_plus_a_block(self):
         n = 3000
         x = np.random.default_rng(6).standard_normal((n, 3))
@@ -215,6 +220,13 @@ class TestCsv:
         path.write_text("1.0,2.0\n1.0,oops\n")
         with pytest.raises(InputError, match=r"bad\.csv:2"):
             read_points_csv(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "mat.csv"
+        path.write_text(f"0,1\n1,{cell}\n")
+        with pytest.raises(InputError, match=r"mat\.csv:2: column 2: not a finite number"):
+            read_matrix_csv(path)
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"

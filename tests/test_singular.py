@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnormdist import singular
 from pnormdist.errors import CertificationError
-from pnormdist.geometry import build_distance_matrix, pnorm
+from pnormdist.geometry import PointSet, build_distance_matrix, pnorm
 from pnormdist.singular import (
     bernstein_half,
     certify_singular,
@@ -16,7 +19,6 @@ from pnormdist.singular import (
     find_theta,
     null_vector_residual,
     phi,
-    phi_scaled,
     psi,
     psi_limit,
     rate_table,
@@ -209,7 +211,7 @@ class TestReducedSystem:
             for p in (2.3, 3.0):
                 rs = reduced_system(n, n, theta, p)
                 assert rs.scaled_det() == pytest.approx(
-                    phi_scaled(n, theta, p), rel=1e-12, abs=1e-13
+                    phi(n, n, p, theta), rel=1e-12, abs=1e-13
                 )
 
     def test_general_theta_reduction_faithfulness(self):
@@ -289,8 +291,8 @@ class TestFindTheta:
 
     def test_phi_positive_above_pn(self):
         pn = find_pn(2).value
-        assert phi_scaled(2, 1.0, pn + 0.1) > 0.0
-        assert phi(2, 2, pn + 0.1) == pytest.approx(phi_scaled(2, 1.0, pn + 0.1), rel=1e-12)
+        assert phi(2, 2, pn + 0.1, 1.0) > 0.0
+        assert phi(2, 2, pn + 0.1) == pytest.approx(phi(2, 2, pn + 0.1, 1.0), rel=1e-12)
 
     def test_theta_approaches_one_near_pn(self):
         pn = find_pn(2).value
@@ -348,9 +350,45 @@ class TestCertification:
             certify_singular(cfg)
 
     def test_side_cap_enforced(self):
-        cfg = cube_config(6, 6, 1.0, 2.1, validate=False)
+        cfg = cube_config(6, 6, 1.0, 2.1)
         with pytest.raises(ValueError, match="side_cap"):
             certify_singular(cfg)
+
+    def test_nudged_vertex_fails_the_reduction_check(self):
+        cfg = cube_config(2, 2, 1.0, find_pn(2).value)
+        pts = cfg.points.points.copy()
+        pts[0, 0] += 1e-6
+        nudged = dataclasses.replace(cfg, points=PointSet(pts))
+        with pytest.raises(CertificationError, match="block sums"):
+            certify_singular(nudged)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 6), u=st.floats(1e-12, 1.0))
+    def test_theta_pair_certifies_above_pn(self, n, u):
+        # p ranges over (p_n, 12]; the floor on u keeps p - p_n far above an ulp of p_n
+        pn = find_pn(n).value
+        p = pn + u * (12.0 - pn)
+        cfg = cube_config(n, n, find_theta(n, p).value, p)
+        assert certify_singular(cfg, side_cap=6).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 5),
+        theta=st.floats(1e-2, 1e2),
+        p=st.floats(0.5, 12.0),
+    )
+    def test_full_matrix_reduces_to_the_2x2_system(self, m, n, theta, p):
+        # the identities behind reduced_system, on every entry and row of A
+        cfg = cube_config(m, n, theta, p)
+        A = build_distance_matrix(cfg.points, p).entries
+        rs = reduced_system(m, n, theta, p).matrix
+        f = cfg.first_count
+        cross = (1.0 + theta**p) ** (1.0 / p)
+        assert np.abs(A[:f, f:] - cross).max() <= 1e-12 * cross
+        for rows, expected in ((slice(None, f), rs[0]), (slice(f, None), rs[1])):
+            sums = np.stack([A[rows, :f].sum(axis=1), A[rows, f:].sum(axis=1)], axis=1)
+            assert np.all(np.abs(sums - expected) <= 1e-12 * expected)
 
     def test_all_small_roots_certify(self):
         for m, n in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5), (5, 5)]:
