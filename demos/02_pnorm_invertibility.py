@@ -8,7 +8,7 @@ shows the first cracks above p = 2.
 
 import numpy as np
 
-from pnormdist import build_distance_matrix, check_and, det_sign_certificate, find_pn
+from pnormdist import build_distance_matrix, check_and, find_pn
 
 rng = np.random.default_rng(20260809)
 
@@ -20,8 +20,8 @@ for k in range(trials):
     d = int(rng.integers(1, 6))
     p = float(rng.uniform(1.05, 2.0))
     x = rng.standard_normal((n, d))
-    cert = det_sign_certificate(build_distance_matrix(x, p).entries)
-    ok += cert.verified
+    rep = check_and(build_distance_matrix(x, p).entries)
+    ok += rep.verdict == "strictly-AND" and rep.det_sign == (-1) ** (n - 1)
 print(f"det sign (-1)^(n-1) verified in {ok}/{trials} random instances, p in (1.05, 2)")
 
 # -- the sign is structural: n-1 negative eigenvalues, one positive --------

@@ -2,18 +2,15 @@
 
 Builds phi(||x^i - x^j||_p) matrices, certifies their invertibility for
 p in (1, 2] through almost-negative-definite (AND) spectral tests and
-determinant-sign certificates, embeds AND matrices as squared Euclidean
+determinant signs, embeds AND matrices as squared Euclidean
 distances, and constructs provably singular point configurations for every
 p > 2 from orthogonal cube pairs and Bernstein-polynomial root-finding.
 """
 
 from .andmatrix import (
     AndReport,
-    DetSignCertificate,
     Embedding,
     check_and,
-    det_sign_certificate,
-    psd_factor,
     restrict_to_zero_sum,
     schoenberg_embed,
 )
@@ -40,7 +37,6 @@ from .geometry import (
 from .interpolation import Interpolant, evaluate_interpolant, fit
 from .profiles import (
     RadialProfile,
-    cm_derivative_spotcheck,
     compose,
     evaluate,
     exponential,
@@ -74,7 +70,6 @@ __all__ = [
     "CertificationError",
     "CertificationRecord",
     "CubeConfig",
-    "DetSignCertificate",
     "DistanceMatrix",
     "Embedding",
     "EmbeddingError",
@@ -93,10 +88,8 @@ __all__ = [
     "build_distance_matrix",
     "certify_singular",
     "check_and",
-    "cm_derivative_spotcheck",
     "compose",
     "cube_config",
-    "det_sign_certificate",
     "evaluate",
     "evaluate_interpolant",
     "exponential",
@@ -110,7 +103,6 @@ __all__ = [
     "phi",
     "pnorm",
     "power",
-    "psd_factor",
     "psi",
     "psi_limit",
     "rate_table",

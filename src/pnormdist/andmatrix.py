@@ -16,8 +16,8 @@ distances (Schoenberg): A_ij = |y^i - y^j|^2 for some vectors y^i. The
 embedding here follows that construction, fixing y^n = 0.
 
 A strictly AND matrix with non-negative trace has n-1 negative and 1
-positive eigenvalue, hence (-1)^(n-1) det A > 0; `det_sign_certificate`
-checks that sign numerically.
+positive eigenvalue, hence (-1)^(n-1) det A > 0; `check_and` reads that
+sign from the pivots of A's LDL^T factorization.
 """
 
 from __future__ import annotations
@@ -86,12 +86,13 @@ def restrict_to_zero_sum(A) -> np.ndarray:
 
     Returns the (n-1) x (n-1) matrix B' with B'_ij = A_in + A_nj - A_ij - A_nn.
     A is AND iff B' is non-negative definite; strictly AND iff positive
-    definite. Raises ValueError when an entry of B' overflows a double.
+    definite. This is where A is validated: it must be square, symmetric and
+    n >= 2. Raises ValueError when an entry of B' overflows a double.
     """
     A = _require_symmetric(A)
     n = A.shape[0]
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError("need n >= 2 (the zero-sum hyperplane of a 1x1 matrix is trivial)")
     with np.errstate(over="ignore"):
         B = A[:-1, -1][:, None] + A[-1, :-1][None, :] - A[:-1, :-1] - A[-1, -1]
     if not np.isfinite(B).all():
@@ -127,16 +128,15 @@ def ldl_factor(A):
     return lu, ipiv, np.array(pivots)
 
 
-def det_sign_logmag(A, tol: float = DEFAULT_EIG_TOL):
+def det_sign_logmag(A: np.ndarray, cut: float):
     """Sign and log-magnitude of det(A) from the pivots of the LDL^T factorization.
 
     The sign is (-1)^(number of negative pivots) and the log-magnitude the
     sum of log|pivot|, so the magnitude never overflows; a pivot at or below
-    tol*|A|_max makes the determinant numerically zero, returned as (0, None).
-    The cut-off scales with A, so the answer does not depend on its units.
+    `cut` makes the determinant numerically zero, returned as (0, None).
+    The caller validates A (a symmetric float array) and scales the cut-off
+    with A, as `check_and` does, so the answer does not depend on its units.
     """
-    A = _require_symmetric(A)
-    cut = tol * float(np.abs(A).max(initial=0.0))
     _, _, pivots = ldl_factor(A)
     if np.any(np.abs(pivots) <= cut):
         return 0, None
@@ -150,22 +150,20 @@ def check_and(A, tol: float = DEFAULT_EIG_TOL) -> AndReport:
     Eigenvalue comparisons are relative to scale = |A|_max, so the verdict
     does not change when A is multiplied by a positive number; the
     determinant sign and log-magnitude come from the pivots of A's one
-    Bunch-Kaufman LDL^T factorization (`det_sign_logmag`).
+    Bunch-Kaufman LDL^T factorization (`det_sign_logmag`), with the same
+    cut-off tol * |A|_max.
     """
-    A = _require_symmetric(A)
-    n = A.shape[0]
-    if n < 2:
-        raise ValueError("need n >= 2 (the zero-sum hyperplane of a 1x1 matrix is trivial)")
+    A = np.asarray(A, dtype=float)
     B = restrict_to_zero_sum(A)
     mu = np.linalg.eigvalsh(B)
-    scale = float(np.abs(A).max())
-    if mu.min() > tol * scale:
+    cut = tol * float(np.abs(A).max())
+    if mu.min() > cut:
         verdict = VERDICT_STRICTLY_AND
-    elif mu.min() >= -tol * scale:
+    elif mu.min() >= -cut:
         verdict = VERDICT_AND
     else:
         verdict = VERDICT_NOT_AND
-    sign, logmag = det_sign_logmag(A, tol)
+    sign, logmag = det_sign_logmag(A, cut)
     restricted = np.sort(-mu)
     return AndReport(
         verdict=verdict,
@@ -176,19 +174,18 @@ def check_and(A, tol: float = DEFAULT_EIG_TOL) -> AndReport:
     )
 
 
-def psd_factor(B, tol: float = DEFAULT_EIG_TOL) -> np.ndarray:
-    """Factor a non-negative definite B as B = P^T P via eigendecomposition.
+def _psd_factor(B: np.ndarray, cut: float) -> np.ndarray:
+    """Factor a symmetric non-negative definite B as B = P^T P via eigendecomposition.
 
-    Eigenvalues in [-tol*||B||, 0] are clamped to 0 (rank-deficient input is
-    a first-class case); anything below raises NotPsdError.
+    Eigenvalues in [-cut, 0] are clamped to 0 (rank-deficient input is a
+    first-class case); anything below raises NotPsdError. The rows of P are
+    ordered by ascending eigenvalue. B is not checked for symmetry: the
+    zero-sum restriction is bitwise symmetric by construction.
     """
-    B = _require_symmetric(B)
     w, V = np.linalg.eigh(B)
-    norm = float(np.abs(w).max()) if w.size else 0.0
-    if w.size and w.min() < -tol * norm:
+    if w.min() < -cut:
         raise NotPsdError(
-            f"matrix is not non-negative definite: min eigenvalue {w.min():.3e} "
-            f"< -tol*||B|| = {-tol * norm:.3e}"
+            f"matrix is not non-negative definite: min eigenvalue {w.min():.3e} < {-cut:.3e}"
         )
     w = np.clip(w, 0.0, None)
     return np.sqrt(w)[:, None] * V.T  # rows sqrt(w_i) * v_i^T, so P^T P = B
@@ -217,25 +214,29 @@ class Embedding:
 def schoenberg_embed(A, tol: float = DEFAULT_EIG_TOL, rank: Optional[int] = None) -> Embedding:
     """Embed a zero-diagonal AND matrix as squared Euclidean distances.
 
-    Construction: B' = restrict_to_zero_sum(A); P with P^T P = B'; the
-    embedding vectors are the columns of P/sqrt(2) plus the zero vector, in
-    dimension n-1 (or `rank` if truncation is requested, keeping the
-    dominant eigendirections). Distinctness transfers: A_ij != 0 for i != j
-    implies y^i != y^j. Without truncation the residual must stay within
-    10*tol*|A|_max, a cut-off that scales with A.
+    Construction: B' = restrict_to_zero_sum(A); P with P^T P = B' from one
+    eigendecomposition of B'; the embedding vectors are the columns of
+    P/sqrt(2) plus the zero vector, in dimension n-1 (or `rank` if
+    truncation is requested, keeping the dominant eigendirections). An
+    eigenvalue of B' below check_and's cut-off -tol*|A|_max means A is not
+    AND, and raises NotAndError carrying check_and's report. Distinctness
+    transfers: A_ij != 0 for i != j implies y^i != y^j. Without truncation
+    the residual must stay within 10*tol*|A|_max, a cut-off that scales
+    with A.
     """
-    A = _require_symmetric(A)
+    A = np.asarray(A, dtype=float)
+    B = restrict_to_zero_sum(A)
     n = A.shape[0]
     if np.any(np.diag(A) != 0.0):
         raise ValueError("matrix must have an exactly zero diagonal")
-    report = check_and(A, tol)
-    if report.verdict == VERDICT_NOT_AND:
+    scale = float(np.abs(A).max())
+    try:
+        P = _psd_factor(B, tol * scale)
+    except NotPsdError:
         raise NotAndError(
             "matrix is not almost negative definite; no squared-distance embedding exists",
-            record=report,
-        )
-    B = restrict_to_zero_sum(A)
-    P = psd_factor(B, tol)  # rows ordered by ascending eigenvalue
+            record=check_and(A, tol),
+        ) from None
     if rank is not None:
         if not 1 <= rank <= n - 1:
             raise ValueError(f"rank must be in [1, {n - 1}], got {rank}")
@@ -244,35 +245,8 @@ def schoenberg_embed(A, tol: float = DEFAULT_EIG_TOL, rank: Optional[int] = None
     vectors[: n - 1] = P.T / math.sqrt(2.0)
     emb = Embedding(vectors=vectors, residual=0.0)
     residual = float(np.abs(emb.squared_distances() - A).max())
-    scale = float(np.abs(A).max())
     if rank is None and residual > 10.0 * tol * scale:
         raise EmbeddingError(
             f"embedding residual {residual:.3e} exceeds tolerance {10.0 * tol * scale:.3e}"
         )
     return Embedding(vectors=vectors, residual=residual)
-
-
-@dataclass(frozen=True)
-class DetSignCertificate:
-    sign: int
-    verified: bool
-    report: AndReport
-
-
-def det_sign_certificate(A, tol: float = DEFAULT_EIG_TOL) -> DetSignCertificate:
-    """Certify (-1)^(n-1) det A > 0 for a strictly AND matrix with trace >= 0.
-
-    `verified` is False only on numerical breakdown (the identity holds in
-    exact arithmetic); the failure is reported, never silently corrected.
-    """
-    A = _require_symmetric(A)
-    n = A.shape[0]
-    report = check_and(A, tol)
-    if report.verdict != VERDICT_STRICTLY_AND:
-        raise ValueError(f"matrix is not strictly AND (verdict: {report.verdict})")
-    if report.trace < 0.0:
-        raise ValueError(f"trace must be non-negative, got {report.trace}")
-    expected = 1 if (n - 1) % 2 == 0 else -1
-    return DetSignCertificate(
-        sign=report.det_sign, verified=report.det_sign == expected, report=report
-    )

@@ -44,18 +44,6 @@ class PExponent:
             raise ValueError(f"p must be a finite positive real, got {self.p!r}")
         object.__setattr__(self, "p", p)
 
-    @property
-    def is_quasi_norm(self) -> bool:
-        return self.p < 1.0
-
-    @property
-    def is_norm(self) -> bool:
-        return self.p >= 1.0
-
-    @property
-    def is_euclidean(self) -> bool:
-        return self.p == 2.0
-
 
 PLike = Union[float, PExponent]
 
@@ -92,15 +80,6 @@ class PointSet:
     def is_distinct(self) -> bool:
         """True if no two points coincide coordinate-wise."""
         return np.unique(self.points, axis=0).shape[0] == self.n
-
-    def translate(self, shift) -> "PointSet":
-        shift = np.asarray(shift, dtype=float)
-        if shift.shape != (self.d,):
-            raise ValueError(f"shift must have shape ({self.d},), got {shift.shape}")
-        return PointSet(self.points + shift)
-
-    def permute(self, order) -> "PointSet":
-        return PointSet(self.points[np.asarray(order)])
 
 
 PointsLike = Union[PointSet, np.ndarray, Sequence[Sequence[float]]]
@@ -150,17 +129,26 @@ def pow_abs(values, p: float) -> np.ndarray:
 
 
 def pnorm(v, p: PLike) -> float:
-    """(sum_k |v_k|^p)^(1/p); returns 0 exactly iff v = 0."""
+    """(sum_k |v_k|^p)^(1/p); returns 0 exactly iff v = 0.
+
+    Computed as m * ||v/m||_p with m = max_k |v_k|, so the power sum lies in
+    [1, dimension] and neither overflows nor underflows; raises ValueError
+    only when the norm itself is beyond the double range.
+    """
     pe = as_pexponent(p)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"v must be a 1-d vector of dimension >= 1, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("v must have finite coordinates")
-    s = pow_abs(v, pe.p).sum()
-    if s == 0.0:
+    m = np.abs(v).max()
+    if m == 0.0:
         return 0.0
-    return float(s ** (1.0 / pe.p))
+    with np.errstate(over="ignore"):
+        norm = m * pow_abs(v / m, pe.p).sum() ** (1.0 / pe.p)
+    if not np.isfinite(norm):
+        raise ValueError(f"the p-norm overflows a double at p = {pe.p:g}")
+    return float(norm)
 
 
 def power_sum_blocks(

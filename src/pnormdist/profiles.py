@@ -98,9 +98,8 @@ def identity(convention: str = DISTANCE) -> RadialProfile:
 def power(tau: float, convention: str = DISTANCE) -> RadialProfile:
     """t -> t^tau. Carries the CND1 flags only for tau in (0, 1).
 
-    tau >= 1 is accepted (e.g. to exercise the derivative spot-check on a
-    profile that is not CND1-generating) but earns no flags beyond tau = 1,
-    which is the identity in disguise.
+    tau >= 1 is accepted but earns no flags beyond tau = 1, which is the
+    identity in disguise.
     """
     tau = float(tau)
     if not np.isfinite(tau) or tau <= 0.0:
@@ -187,46 +186,6 @@ def evaluate(profile: RadialProfile, t):
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Completely-monotonic-derivative spot check
-
-
-def _derivative_of_fprime(profile: RadialProfile, order: int, t: np.ndarray) -> np.ndarray:
-    """Closed-form (f')^(order) for the two catalog profiles with known forms."""
-    if profile.kind == "power":
-        tau = profile.tau
-        coeff = tau
-        for i in range(1, order + 1):
-            coeff *= tau - i
-        return coeff * np.power(t, tau - 1.0 - order)
-    if profile.kind == "multiquadric":
-        # f'(t) = (1/2)(1+t)^(-1/2)
-        coeff = 0.5
-        for i in range(1, order + 1):
-            coeff *= 0.5 - i
-        return coeff * np.power(1.0 + t, -0.5 - order)
-    raise ValueError(f"unsupported profile for derivative spot-check: {profile.kind!r}")
-
-
-def cm_derivative_spotcheck(profile: RadialProfile, order: int, grid) -> bool:
-    """Check (-1)^k (f')^(k)(t) >= 0 on the grid for all k = 0..order.
-
-    This is the sign pattern of a completely monotonic derivative, the
-    criterion behind the CND1 catalog; analytic derivative formulas are
-    shipped for power and multiquadric only, with order capped at 4.
-    """
-    if not 0 <= order <= 4:
-        raise ValueError(f"order must be in [0, 4], got {order}")
-    t = np.asarray(grid, dtype=float)
-    if t.size == 0 or np.any(t <= 0.0):
-        raise ValueError("grid must be non-empty with strictly positive entries")
-    for k in range(order + 1):
-        vals = _derivative_of_fprime(profile, k, t)
-        if np.any((-1.0) ** k * vals < 0.0):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

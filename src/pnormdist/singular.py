@@ -54,22 +54,16 @@ DEFAULT_CERT_SIDE_CAP = 5  # full matrices up to 2^5 + 2^5 = 64 points
 REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
 
 
-def _bernstein_sum(k: int, p: float) -> float:
-    """sum_{j=1}^{k} C(k,j) (j/k)^(1/p): 2^k times the Bernstein value at 1/2."""
-    if not 0 <= k <= MAX_BERNSTEIN_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_BERNSTEIN_DEGREE}], got {k}")
-    binomials = np.array([math.comb(k, j) for j in range(1, k + 1)], dtype=float)
-    return float(np.sum(binomials * np.power(np.arange(1, k + 1) / k, 1.0 / p)))
-
-
 def bernstein_half(i: int, p: PLike) -> float:
-    """Bernstein value of t -> t^(1/p) at t = 1/2, degree i.
+    """Bernstein value of t -> t^(1/p) at t = 1/2, degree i in [1, MAX_BERNSTEIN_DEGREE].
 
     2^(-i) sum_{j=0}^{i} C(i,j) (j/i)^(1/p), with the j = 0 term defined as 0.
     """
-    if i < 1:
-        raise ValueError(f"degree must be >= 1, got {i}")
-    return _bernstein_sum(i, as_pexponent(p).p) * 2.0 ** (-i)
+    if not 1 <= i <= MAX_BERNSTEIN_DEGREE:
+        raise ValueError(f"degree must be in [1, {MAX_BERNSTEIN_DEGREE}], got {i}")
+    q = as_pexponent(p).p
+    binomials = np.array([math.comb(i, j) for j in range(1, i + 1)], dtype=float)
+    return float(np.sum(binomials * np.power(np.arange(1, i + 1) / i, 1.0 / q))) * 2.0 ** (-i)
 
 
 def psi(n: int, p: PLike) -> float:
@@ -143,7 +137,10 @@ def cube_config(m: int, n: int, theta: float, p: PLike) -> CubeConfig:
     gn[:, m:] = b * _sign_grid(n)
     points = PointSet(np.vstack([gm, gn]))
     if not points.is_distinct():
-        raise AssertionError("cube configuration produced coincident points")
+        raise ValueError(
+            f"cube configuration has coincident points: a half-width underflows to 0 "
+            f"(m^(-1/p) = {a:g}, theta * n^(-1/p) = {b:g})"
+        )
     return CubeConfig(m=m, n=n, theta=float(theta), p=pe, points=points)
 
 
@@ -175,15 +172,15 @@ class ReducedSystem:
 def reduced_system(m: int, n: int, theta: float, p: PLike) -> ReducedSystem:
     """The 2x2 matrix the interpolation equations reduce to on the cube pair."""
     pe = as_pexponent(p)
-    if not (m >= 1 and n >= 1):
-        raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
+    bm, bn = bernstein_half(m, pe), bernstein_half(n, pe)
     cross = (1.0 + theta**pe.p) ** (1.0 / pe.p)
+    # 2^(i+1) B_i is twice the unscaled Bernstein sum, exactly: a power of two
     matrix = np.array(
         [
-            [2.0 * _bernstein_sum(m, pe.p), 2.0**n * cross],
-            [2.0**m * cross, 2.0 * theta * _bernstein_sum(n, pe.p)],
+            [2.0 ** (m + 1) * bm, 2.0**n * cross],
+            [2.0**m * cross, 2.0 ** (n + 1) * theta * bn],
         ]
     )
     return ReducedSystem(matrix=matrix, m=m, n=n, theta=float(theta), p=pe)
@@ -372,8 +369,8 @@ def certify_singular(
     """
     if max(config.m, config.n) > side_cap:
         raise ValueError(
-            f"full-matrix certification capped at side {side_cap} "
-            f"(got m={config.m}, n={config.n}); pass side_cap to override"
+            f"full-matrix certification capped at side {side_cap} (got m={config.m}, "
+            f"n={config.n}); pass side_cap (--cert-cap on the CLI) to override"
         )
     A = build_distance_matrix(config.points, config.p).entries
     rs = reduced_system(config.m, config.n, config.theta, config.p)

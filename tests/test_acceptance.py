@@ -4,13 +4,17 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines alongside the pytest verdicts.
 """
 
+import ast
+import importlib
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnormdist
 from pnormdist.andmatrix import check_and, schoenberg_embed
 from pnormdist.errors import SingularSystemError
 from pnormdist.geometry import build_distance_matrix, pow_abs
@@ -181,3 +185,99 @@ def test_criterion_10_positive_definite_catalog():
             r2 = build_distance_matrix(x, 2.0).entries
             for alpha in (0.5, 1.5):
                 assert np.linalg.eigvalsh(np.exp(-(r2**alpha))).min() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Public surface
+
+PUBLIC_API = [
+    "AndReport",
+    "CertificationError",
+    "CertificationRecord",
+    "CubeConfig",
+    "DistanceMatrix",
+    "Embedding",
+    "EmbeddingError",
+    "InputError",
+    "Interpolant",
+    "NotAndError",
+    "NotPsdError",
+    "PExponent",
+    "PointSet",
+    "RadialProfile",
+    "ReducedSystem",
+    "RootResult",
+    "SingularSystemError",
+    "VerdictMismatchError",
+    "bernstein_half",
+    "build_distance_matrix",
+    "certify_singular",
+    "check_and",
+    "compose",
+    "cube_config",
+    "evaluate",
+    "evaluate_interpolant",
+    "exponential",
+    "find_pmn",
+    "find_pn",
+    "find_theta",
+    "fit",
+    "identity",
+    "matrix_from_profile",
+    "multiquadric",
+    "phi",
+    "pnorm",
+    "power",
+    "psi",
+    "psi_limit",
+    "rate_table",
+    "read_matrix_csv",
+    "read_points_csv",
+    "reduced_system",
+    "restrict_to_zero_sum",
+    "schoenberg_embed",
+    "write_matrix_csv",
+    "write_points_csv",
+]
+
+
+def test_public_api_is_pinned():
+    # a name added here needs a caller among the demos, the CLI or the tests
+    assert sorted(pnormdist.__all__) == PUBLIC_API
+    assert all(hasattr(pnormdist, name) for name in PUBLIC_API)
+
+
+def traced_targets():
+    """Every (module, attribute) that bench/tracing.py wraps, read from its source.
+
+    The SPANS and PEAKS tables hold (name, module, attribute) triples; install()
+    also patches single targets with patch("module", "attribute", wrapper).
+    """
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text())
+    targets = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "PEAKS") for t in node.targets
+        ):
+            targets.update((module, attr) for _, module, attr in ast.literal_eval(node.value))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "patch"
+            and len(node.args) == 3
+            and all(isinstance(a, ast.Constant) for a in node.args[:2])
+        ):
+            targets.add((node.args[0].value, node.args[1].value))
+    return targets
+
+
+def test_bench_tracing_targets_resolve():
+    targets = traced_targets()
+    assert {("interpolation", "evaluate_interpolant"), ("singular", "_bisect")} <= targets
+    assert ("andmatrix", "det_sign_logmag") in targets
+    for module, attr in sorted(targets):
+        owner = importlib.import_module(f"pnormdist.{module}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"no pnormdist.{module}.{attr} to trace"
+            owner = getattr(owner, part)
+        assert callable(owner)

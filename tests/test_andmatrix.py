@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pnormdist import andmatrix
 from pnormdist.andmatrix import (
+    _psd_factor,
     check_and,
-    det_sign_certificate,
     det_sign_logmag,
     ldl_factor,
-    psd_factor,
     restrict_to_zero_sum,
     schoenberg_embed,
 )
@@ -154,21 +154,21 @@ class TestCheckAnd:
 
 class TestPsdFactor:
     def test_identity(self):
-        P = psd_factor(np.eye(4))
+        P = _psd_factor(np.eye(4), 1e-10)
         assert np.allclose(P.T @ P, np.eye(4), atol=1e-14)
 
     def test_scalar(self):
-        P = psd_factor(np.array([[2.0]]))
+        P = _psd_factor(np.array([[2.0]]), 1e-10)
         assert abs(P[0, 0]) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_rank_deficient_restriction(self):
         B = restrict_to_zero_sum(UNIT_SQUARE_1NORM)
-        P = psd_factor(B)
+        P = _psd_factor(B, 1e-10 * np.abs(UNIT_SQUARE_1NORM).max())
         assert np.abs(P.T @ P - B).max() < 1e-12
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPsdError):
-            psd_factor(np.diag([1.0, -1.0]))
+            _psd_factor(np.diag([1.0, -1.0]), 1e-10)
 
 
 class TestSchoenbergEmbed:
@@ -208,8 +208,9 @@ class TestSchoenbergEmbed:
 
     def test_rejects_not_and(self):
         A = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(NotAndError):
+        with pytest.raises(NotAndError) as info:
             schoenberg_embed(A)
+        assert info.value.record.verdict == "not-AND"
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
@@ -242,7 +243,7 @@ class TestLdlFactor:
         A = np.triu(m) + np.triu(m, 1).T
         if zero_diagonal:
             np.fill_diagonal(A, 0.0)
-        sign, logmag = det_sign_logmag(A)
+        sign, logmag = det_sign_logmag(A, 1e-10 * np.abs(A).max())
         if sign == 0:
             return
         ref_sign, ref_logmag = np.linalg.slogdet(A)
@@ -254,26 +255,57 @@ class TestLdlFactor:
 
 
 class TestDetSignCertificate:
+    """(-1)^(n-1) det A > 0 for strictly AND matrices with trace >= 0, read from check_and."""
+
     def test_two_point(self):
-        cert = det_sign_certificate(TWO_POINT)
-        assert cert.sign == -1 and cert.verified
+        rep = check_and(TWO_POINT)
+        assert rep.verdict == "strictly-AND" and rep.det_sign == -1
+        assert rep.det_log_magnitude == pytest.approx(0.0, abs=1e-14)
 
     def test_equilateral_triple(self):
         # det [[0,1,1],[1,0,1],[1,1,0]] = 2 by cofactor expansion
         A = np.ones((3, 3)) - np.eye(3)
-        cert = det_sign_certificate(A)
-        assert cert.sign == 1 and cert.verified
-        assert np.exp(cert.report.det_log_magnitude) == pytest.approx(2.0, rel=1e-12)
+        rep = check_and(A)
+        assert rep.verdict == "strictly-AND" and rep.det_sign == 1
+        assert np.exp(rep.det_log_magnitude) == pytest.approx(2.0, rel=1e-12)
 
     def test_multiquadric_matrix(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((6, 2))
         r = build_distance_matrix(x, 1.0).entries
         A = np.sqrt(1.0 + r)
-        cert = det_sign_certificate(A)
-        assert cert.sign == (-1) ** 5 and cert.verified
-        assert cert.report.trace == pytest.approx(6.0)
+        rep = check_and(A)
+        assert rep.verdict == "strictly-AND" and rep.det_sign == (-1) ** 5
+        assert rep.trace == pytest.approx(6.0)
+        assert rep.det_log_magnitude == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
 
     def test_rejects_non_strict(self):
-        with pytest.raises(ValueError, match="strictly AND"):
-            det_sign_certificate(UNIT_SQUARE_1NORM)
+        # AND but not strictly: the sign pattern is not guaranteed, and here det A = 0
+        rep = check_and(UNIT_SQUARE_1NORM)
+        assert rep.verdict == "AND"
+        assert rep.det_sign == 0 and rep.det_log_magnitude is None
+
+
+class TestValidateOnce:
+    def test_check_and_validates_once(self, monkeypatch):
+        calls = []
+        original = andmatrix._require_symmetric
+
+        def counting(A):
+            calls.append(1)
+            return original(A)
+
+        monkeypatch.setattr(andmatrix, "_require_symmetric", counting)
+        check_and(UNIT_SQUARE_1NORM)
+        assert len(calls) == 1
+
+    def test_embed_needs_no_verdict_or_factorization(self, monkeypatch):
+        # one eigendecomposition of B' gates and factors; check_and and the
+        # LDL^T factorization run only to explain a not-AND matrix
+        def fail(*args, **kwargs):
+            raise AssertionError("called on the success path")
+
+        monkeypatch.setattr(andmatrix, "check_and", fail)
+        monkeypatch.setattr(andmatrix, "ldl_factor", fail)
+        emb = schoenberg_embed(UNIT_SQUARE_1NORM)
+        assert np.abs(emb.squared_distances() - UNIT_SQUARE_1NORM).max() < 1e-12

@@ -306,7 +306,9 @@ class TestSingularConfig:
     def test_side_12_stops_at_the_certification_cap(self, tmp_path, capsys):
         argv = ["singular-config", "--n", "12", "--p", "3",
                 "--out-points", str(tmp_path / "pts.csv"), "--out-cert", str(tmp_path / "c.json")]
-        assert "capped at side 5" in assert_input_error(capsys, argv)
+        err = assert_input_error(capsys, argv)
+        assert "capped at side 5" in err
+        assert "--cert-cap" in err
 
     def test_cert_json_round_trip(self, tmp_path):
         outp, outc = tmp_path / "pts.csv", tmp_path / "cert.json"

@@ -41,10 +41,11 @@ def gathered_distance_matrix(x, p, profile):
 
 class TestPExponent:
     def test_classification_flags(self):
-        assert PExponent(0.5).is_quasi_norm and not PExponent(0.5).is_norm
-        assert PExponent(1.0).is_norm and not PExponent(1.0).is_quasi_norm
-        assert PExponent(2.0).is_euclidean and PExponent(2.0).is_norm
-        assert not PExponent(1.5).is_euclidean
+        # quasi-norm below 1 (the triangle inequality fails), Euclidean at 2
+        v, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert pnorm(v + w, PExponent(0.5)) > pnorm(v, PExponent(0.5)) + pnorm(w, PExponent(0.5))
+        assert pnorm(v + w, PExponent(1.0)) == pnorm(v, PExponent(1.0)) + pnorm(w, PExponent(1.0))
+        assert pnorm([3.0, 4.0], PExponent(2.0)) == 5.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_nonpositive(self, bad):
@@ -92,6 +93,14 @@ class TestPnorm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             pnorm([1.0, float("inf")], 2.0)
+
+    def test_full_double_range(self):
+        # the power sum alone would overflow to inf and underflow to 0 here
+        assert pnorm([1e300, 0.0], 1.5) == 1e300
+        assert pnorm([1e-250, 0.0], 1.5) == 1e-250
+        assert pnorm([-1e300, 1e300], 1.0) == 2e300
+        with pytest.raises(ValueError, match="overflows"):
+            pnorm([1e308, 1e308], 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -153,13 +162,13 @@ class TestBuildDistanceMatrix:
         x = PointSet(rng.standard_normal((9, 3)))
         perm = rng.permutation(9)
         A = build_distance_matrix(x, 1.5).entries
-        B = build_distance_matrix(x.permute(perm), 1.5).entries
+        B = build_distance_matrix(PointSet(x.points[perm]), 1.5).entries
         assert np.array_equal(B, A[np.ix_(perm, perm)])
 
     def test_translation_leaves_matrix_unchanged(self):
         rng = np.random.default_rng(5)
         x = PointSet(rng.standard_normal((8, 3)))
-        shifted = x.translate(np.array([10.0, -3.0, 0.25]))
+        shifted = PointSet(x.points + np.array([10.0, -3.0, 0.25]))
         A = build_distance_matrix(x, 1.4).entries
         B = build_distance_matrix(shifted, 1.4).entries
         assert np.allclose(A, B, rtol=0, atol=1e-12)

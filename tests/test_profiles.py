@@ -8,7 +8,6 @@ from pnormdist.profiles import (
     DISTANCE,
     PTH_POWER_DISTANCE,
     SQUARED_DISTANCE,
-    cm_derivative_spotcheck,
     compose,
     evaluate,
     exponential,
@@ -89,22 +88,21 @@ class TestFlags:
 
 
 class TestSpotcheck:
-    GRID = [0.1, 1.0, 10.0]
+    """Catalog flags that the completely-monotonic-derivative criterion backs."""
 
     def test_power_half_passes(self):
-        assert cm_derivative_spotcheck(power(0.5), 3, self.GRID)
+        assert power(0.5).flags.cnd1 and power(0.5).flags.strictly_cnd1
 
     def test_multiquadric_passes(self):
-        assert cm_derivative_spotcheck(multiquadric(), 3, self.GRID)
+        assert multiquadric().flags.cnd1 and multiquadric().flags.strictly_cnd1
 
     def test_squared_profile_fails(self):
-        # f(t) = t^2 has non-decreasing derivative: the alternating sign
-        # pattern breaks as soon as derivatives of f' are inspected
-        assert not cm_derivative_spotcheck(power(2.0), 2, self.GRID)
+        # f(t) = t^2 has a non-decreasing derivative, so it is not CND1
+        assert not power(2.0).flags.cnd1 and not power(2.0).flags.strictly_cnd1
 
     def test_unsupported_profile_rejected(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            cm_derivative_spotcheck(exponential(), 2, self.GRID)
+        # e^-t is positive definite, outside the CND1 class the criterion decides
+        assert not exponential().flags.cnd1 and exponential().flags.positive_definite
 
 
 class TestPrediction:

@@ -185,6 +185,11 @@ class TestCubeConfig:
         with pytest.raises(ValueError, match=r"\[1, 12\]"):
             cube_config(13, 2, 1.0, 3.0)
 
+    def test_underflowing_half_width_raises_value_error(self):
+        # 12^(-1/0.001) = 12^-1000 underflows to 0, so the first cube collapses
+        with pytest.raises(ValueError, match="coincident"):
+            cube_config(12, 2, 1.0, 0.001)
+
 
 class TestReducedSystem:
     def test_symmetric_when_equal_sides(self):
