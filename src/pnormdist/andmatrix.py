@@ -120,10 +120,12 @@ def ldl_factor(A):
             pivots.append(diag[k])
             k += 1
         else:  # 2x2 block [[a, b], [b, c]]: larger-magnitude eigenvalue, then det / it
-            a, b, c = diag[k], off[k], diag[k + 1]
+            # at unit scale a*c - b*b cannot overflow; power-of-two scaling is exact
+            e = math.frexp(max(abs(diag[k]), abs(off[k]), abs(diag[k + 1])))[1]
+            a, b, c = (math.ldexp(v, -e) for v in (diag[k], off[k], diag[k + 1]))
             mean = 0.5 * (a + c)
             big = mean + math.copysign(math.hypot(0.5 * (a - c), b), mean)
-            pivots += [big, (a * c - b * b) / big]
+            pivots += [math.ldexp(big, e), math.ldexp((a * c - b * b) / big, e)]
             k += 2
     return lu, ipiv, np.array(pivots)
 

@@ -68,7 +68,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     count = np.floor((hi - lo) / step + 1e-9) + 1
     if not math.isfinite(count):
         raise InputError(f"grid {spec!r} has more points than a float can count")
-    return lo + step * np.arange(int(count))
+    try:
+        return lo + step * np.arange(int(count))
+    except MemoryError:
+        raise InputError(f"grid {spec!r} has {int(count)} points, more than memory holds") from None
 
 
 def tolerance(text: str) -> float:
@@ -258,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-cert", required=True)
     sp.add_argument("--cert-cap", type=int, default=singular.DEFAULT_CERT_SIDE_CAP)
     _add_tolerance(sp, "--tol-root", singular.DEFAULT_ROOT_TOL, "largest root bracket width")
-    _add_tolerance(
-        sp, "--tol-cert", singular.DEFAULT_CERT_TOL, "largest sigma_min/sigma_max and null residual"
-    )
+    _add_tolerance(sp, "--tol-cert", singular.DEFAULT_CERT_TOL, "largest relative null residual")
     sp.set_defaults(func=cmd_singular_config)
 
     sp = sub.add_parser("interp", help="fit and evaluate an interpolant")

@@ -26,8 +26,10 @@ singularity, which covers every p > 2.
 Root finding is plain bisection: monotonicity makes it certified-correct
 and no derivative is needed. `certify_singular` is the trust anchor for the
 2x2 reduction: on the full distance matrix it checks facts (i) and (ii)
-entry by entry and row by row against the reduced system, then the smallest
-singular value and an explicit block-constant null vector.
+entry by entry and row by row against the reduced system, then the residual
+r = ||A v|| / (sigma_max ||v||) of an explicit block-constant null vector v.
+By Courant-Fischer sigma_min <= r sigma_max, and by Perron-Frobenius sigma_max
+is the Perron root of the 2x2 reduced matrix, so no SVD is taken.
 """
 
 from __future__ import annotations
@@ -317,7 +319,6 @@ class CertificationRecord:
     n: int
     theta: float
     p: float
-    sigma_min: float
     sigma_max: float
     lam: float
     mu: float
@@ -330,23 +331,12 @@ class CertificationRecord:
             "n": self.n,
             "theta": self.theta,
             "p": self.p,
-            "sigma_min": self.sigma_min,
             "sigma_max": self.sigma_max,
             "lambda": self.lam,
             "mu": self.mu,
             "residual": self.residual,
             "pass": self.passed,
         }
-
-
-def null_vector_residual(A: np.ndarray, v: np.ndarray):
-    """(sigma_min, sigma_max, ||A v|| / (||A|| ||v||)) for a candidate null vector."""
-    A = np.asarray(A, dtype=float)
-    v = np.asarray(v, dtype=float)
-    svals = np.linalg.svd(A, compute_uv=False)
-    sigma_max, sigma_min = float(svals[0]), float(svals[-1])
-    residual = float(np.linalg.norm(A @ v) / (sigma_max * np.linalg.norm(v)))
-    return sigma_min, sigma_max, residual
 
 
 def certify_singular(
@@ -360,12 +350,14 @@ def certify_singular(
     checks the 2x2 reduction on it: every cross entry equals
     (1 + theta^p)^(1/p), and every row's two block sums equal the matching
     row of `reduced_system(...).matrix`, both to relative REDUCTION_RTOL.
-    Then it checks sigma_min <= tol * sigma_max and that the block-constant
-    vector (lambda, ..., lambda, mu, ..., mu) from the reduced system's
-    kernel is a null vector to the same relative tolerance. Raises
-    CertificationError on failure (a reduction bug or a root residual too
-    large). The side cap bounds the 2^m + 2^n matrix work; raise it
-    explicitly for larger cubes.
+    Then it checks ||A v|| / (sigma_max ||v||) <= tol for the block-constant
+    v = (lambda, ..., mu, ...) from the reduced system's kernel; by
+    Courant-Fischer that bounds sigma_min / sigma_max by tol too. A is
+    symmetric, positive off the diagonal and equitably partitioned by the
+    cubes, so by Perron-Frobenius sigma_max is the Perron root of the 2x2
+    reduced matrix and no SVD is taken. Raises CertificationError on failure
+    (a reduction bug or a root residual too large). The side cap bounds the
+    2^m + 2^n matrix work; raise it explicitly for larger cubes.
     """
     if max(config.m, config.n) > side_cap:
         raise ValueError(
@@ -388,14 +380,15 @@ def certify_singular(
         )
     lam, mu = rs.kernel_coefficients()
     v = np.concatenate([np.full(first, lam), np.full(second, mu)])
-    sigma_min, sigma_max, residual = null_vector_residual(A, v)
-    passed = sigma_min <= tol * sigma_max and residual <= tol
+    (a, b), (c, d) = rs.matrix
+    sigma_max = float(0.5 * (a + d) + math.sqrt((0.5 * (a - d)) ** 2 + b * c))
+    residual = float(np.linalg.norm(A @ v) / (sigma_max * np.linalg.norm(v)))
+    passed = residual <= tol
     record = CertificationRecord(
         m=config.m,
         n=config.n,
         theta=config.theta,
         p=config.p.p,
-        sigma_min=sigma_min,
         sigma_max=sigma_max,
         lam=float(lam),
         mu=float(mu),
@@ -404,8 +397,7 @@ def certify_singular(
     )
     if not passed:
         raise CertificationError(
-            f"singularity certification failed: sigma_min/sigma_max = "
-            f"{sigma_min / sigma_max:.3e}, null residual = {residual:.3e}, tol = {tol:g}",
+            f"singularity certification failed: null residual = {residual:.3e}, tol = {tol:g}",
             record=record,
         )
     return record

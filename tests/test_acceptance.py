@@ -142,9 +142,11 @@ def test_criterion_07_full_matrix_certification():
     with criterion(7, "full matrices at (2,2), (2,3), (3,3) roots certify singular at 1e-8"):
         start = time.perf_counter()
         for m, n in ((2, 2), (2, 3), (3, 3)):
-            root = find_pmn(m, n)
-            record = certify_singular(cube_config(m, n, 1.0, root.value), tol=1e-8)
-            assert record.sigma_min / record.sigma_max < 1e-8
+            cfg = cube_config(m, n, 1.0, find_pmn(m, n).value)
+            record = certify_singular(cfg, tol=1e-8)
+            A = build_distance_matrix(cfg.points, cfg.p).entries
+            svals = np.linalg.svd(A, compute_uv=False)
+            assert svals[-1] / svals[0] < 1e-8
             assert record.residual < 1e-8
         assert time.perf_counter() - start < 10.0
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -100,6 +102,16 @@ class TestCheckAnd:
         rep = check_and(build_distance_matrix(x, 2.0).entries)
         assert rep.verdict == "strictly-AND"
         assert rep.det_sign == 1  # (-1)^4
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_determinant_follows_extreme_scale(self, scale):
+        # det(sA) = s^n det A, so the log-magnitude shifts by n ln s exactly
+        x = np.random.default_rng(17).standard_normal((60, 3))
+        ref = check_and(build_distance_matrix(x, 1.5).entries)
+        rep = check_and(build_distance_matrix(x * scale, 1.5).entries)
+        assert rep.det_sign == ref.det_sign
+        expected = ref.det_log_magnitude + 60 * math.log(scale)
+        assert rep.det_log_magnitude == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_verdict_independent_of_scale(self, scale):
@@ -238,6 +250,8 @@ class TestLdlFactor:
         ),
         zero_diagonal=st.booleans(),
     )
+    # a 2x2 pivot block whose determinant -x^2 underflows to a subnormal
+    @example(m=np.array([[0.0, 4.48586106e-159], [4.48586106e-159, 0.0]]), zero_diagonal=True)
     def test_matches_slogdet_and_eigvalsh(self, m, zero_diagonal):
         # a zero diagonal (the distance-matrix case) forces 2x2 pivots
         A = np.triu(m) + np.triu(m, 1).T

@@ -279,8 +279,10 @@ class TestSingularConfig:
         assert rc == 0
         cert = json.loads(outc.read_text())
         assert cert["pass"] is True
-        assert cert["sigma_min"] / cert["sigma_max"] < 1e-8
-        assert read_points_csv(outp).n == 8
+        pts = read_points_csv(outp)
+        svals = np.linalg.svd(build_distance_matrix(pts, cert["p"]).entries, compute_uv=False)
+        assert svals[-1] / svals[0] < 1e-8
+        assert pts.n == 8
 
     def test_theta_scaled(self, tmp_path):
         outp, outc = tmp_path / "pts.csv", tmp_path / "cert.json"
@@ -405,6 +407,13 @@ class TestScanPsi:
     def test_non_finite_grid_exit_2(self, tmp_path, capsys, grid):
         out = tmp_path / "psi.csv"
         assert_input_error(capsys, ["scan-psi", "--n", "2", f"--p-grid={grid}", "--out", str(out)])
+
+    def test_grid_larger_than_memory_exit_2(self, tmp_path, capsys):
+        # 4e17 points ask for 2.78 EiB, which no allocator grants
+        out = tmp_path / "psi.csv"
+        argv = ["scan-psi", "--n", "2", "--p-grid=2:6:1e-17", "--out", str(out)]
+        err = assert_input_error(capsys, argv)
+        assert "'2:6:1e-17'" in err and "400000000000000000 points" in err
 
     def test_json_output(self, tmp_path):
         out, jout = tmp_path / "psi.csv", tmp_path / "psi.json"

@@ -17,7 +17,6 @@ from pnormdist.singular import (
     find_pmn,
     find_pn,
     find_theta,
-    null_vector_residual,
     phi,
     psi,
     psi_limit,
@@ -33,6 +32,12 @@ P2_HIPREC = 2.80097422586519505348609248428
 P3_HIPREC = 2.32432743302411988968739582373
 P23_HIPREC = 2.52535900523540198232086065491
 THETA_2_AT_3 = 0.764030898757770947510858566773
+
+
+def svd_ratio(cfg):
+    """sigma_min / sigma_max of the config's full distance matrix: the reference."""
+    svals = np.linalg.svd(build_distance_matrix(cfg.points, cfg.p).entries, compute_uv=False)
+    return svals[-1] / svals[0]
 
 
 def brute_vertex_psum(k, p):
@@ -324,7 +329,7 @@ class TestCertification:
         cfg = cube_config(2, 2, 1.0, root.value)
         rec = certify_singular(cfg)
         assert rec.passed
-        assert rec.sigma_min / rec.sigma_max < 1e-8
+        assert svd_ratio(cfg) < 1e-8
         assert rec.residual < 1e-8
         # null vector is block-constant: (lam, lam, lam, lam, mu, mu, mu, mu)
         A = build_distance_matrix(cfg.points, cfg.p).entries
@@ -332,9 +337,9 @@ class TestCertification:
         assert np.linalg.norm(A @ v) < 1e-8 * np.linalg.norm(A) * np.linalg.norm(v)
 
     def test_mixed_pair_at_root(self):
-        root = find_pmn(2, 3)
-        rec = certify_singular(cube_config(2, 3, 1.0, root.value))
-        assert rec.passed and rec.sigma_min / rec.sigma_max < 1e-8
+        cfg = cube_config(2, 3, 1.0, find_pmn(2, 3).value)
+        rec = certify_singular(cfg)
+        assert rec.passed and svd_ratio(cfg) < 1e-8
 
     def test_theta_scaled_pair(self):
         root = find_theta(2, 3.0)
@@ -345,9 +350,10 @@ class TestCertification:
         # the alternating vector is an exact null vector of the circulant
         # 1-norm matrix of the unit square
         A = build_distance_matrix([[0, 0], [1, 0], [1, 1], [0, 1]], 1.0).entries
-        sigma_min, sigma_max, residual = null_vector_residual(A, np.array([1.0, -1, 1, -1]))
-        assert sigma_min < 1e-12
-        assert residual < 1e-14
+        v = np.array([1.0, -1, 1, -1])
+        svals = np.linalg.svd(A, compute_uv=False)
+        assert svals[-1] < 1e-12
+        assert np.linalg.norm(A @ v) / (svals[0] * np.linalg.norm(v)) < 1e-14
 
     def test_far_from_root_fails(self):
         cfg = cube_config(2, 2, 1.0, 3.5)
@@ -375,6 +381,29 @@ class TestCertification:
         p = pn + u * (12.0 - pn)
         cfg = cube_config(n, n, find_theta(n, p).value, p)
         assert certify_singular(cfg, side_cap=6).passed
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(2, 6), n=st.integers(2, 6), u=st.none() | st.floats(1e-12, 1.0))
+    def test_sigma_max_is_the_svd_largest_singular_value(self, m, n, u):
+        # u = None: the (m, n) pair at its root; else theta* for (n, n) at p in (p_n, 12]
+        if u is None:
+            cfg = cube_config(m, n, 1.0, find_pmn(m, n).value)
+        else:
+            pn = find_pn(n).value
+            p = pn + u * (12.0 - pn)
+            cfg = cube_config(n, n, find_theta(n, p).value, p)
+        tol = singular.DEFAULT_CERT_TOL
+        rec = certify_singular(cfg, tol=tol, side_cap=6)
+        svals = np.linalg.svd(build_distance_matrix(cfg.points, cfg.p).entries, compute_uv=False)
+        assert rec.sigma_max == pytest.approx(svals[0], rel=1e-12)
+        assert svals[-1] / svals[0] <= tol
+
+    def test_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("certify_singular called numpy.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert certify_singular(cube_config(5, 5, 1.0, find_pn(5).value)).passed
 
     @settings(max_examples=40, deadline=None)
     @given(
