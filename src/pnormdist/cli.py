@@ -125,7 +125,7 @@ def cmd_find_pn(args) -> int:
     if args.n_min < 2:
         raise InputError(f"--n-min must be >= 2, got {args.n_min}")
     ns = range(args.n_min, args.n_max + 1)
-    rows = singular.rate_table(ns, tol=args.tol_root)
+    rows = singular.rate_table(ns)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("n,p_n,rate\n")
         for n, pn, rate in rows:
@@ -144,14 +144,14 @@ def cmd_singular_config(args) -> int:
             raise InputError("--n is required")
         if args.m is not None and args.n is not None and args.m != args.n:
             raise InputError("theta scaling applies to equal cubes: --p requires m = n")
-        root = singular.find_theta(n, args.p, tol=args.tol_root)
+        root = singular.find_theta(n, args.p)
         config = singular.cube_config(n, n, theta=root.value, p=args.p)
     else:
         if args.m is None or args.n is None:
             raise InputError("need --m and --n (or --n with --p)")
         if args.m < 2 or args.n < 2:
             raise InputError(f"m and n must be >= 2, got m={args.m}, n={args.n}")
-        root = singular.find_pmn(args.m, args.n, tol=args.tol_root)
+        root = singular.find_pmn(args.m, args.n)
         config = singular.cube_config(args.m, args.n, theta=1.0, p=root.value)
     record = singular.certify_singular(config, tol=args.tol_cert, side_cap=args.cert_cap)
     write_points_csv(args.out_points, config.points)
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--json-out", help="also emit the table as JSON")
-    _add_tolerance(sp, "--tol-root", singular.DEFAULT_ROOT_TOL, "largest root bracket width")
     sp.set_defaults(func=cmd_find_pn)
 
     sp = sub.add_parser("singular-config", help="certified singular configuration")
@@ -259,8 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, help="target exponent; theta is then solved (m = n)")
     sp.add_argument("--out-points", required=True)
     sp.add_argument("--out-cert", required=True)
-    sp.add_argument("--cert-cap", type=int, default=singular.DEFAULT_CERT_SIDE_CAP)
-    _add_tolerance(sp, "--tol-root", singular.DEFAULT_ROOT_TOL, "largest root bracket width")
+    sp.add_argument(
+        "--cert-cap",
+        type=int,
+        default=singular.DEFAULT_CERT_SIDE_CAP,
+        help="largest cube side certified on the full matrix (default %(default)d)",
+    )
     _add_tolerance(sp, "--tol-cert", singular.DEFAULT_CERT_TOL, "largest relative null residual")
     sp.set_defaults(func=cmd_singular_config)
 

@@ -160,8 +160,10 @@ def power_sum_blocks(
     of `a` cover it in order. With b=None the blocks are the
     upper ones, a[start:stop] against a[start:], so sums[i, j] pairs rows
     start+i and start+j of `a`. Raises ValueError when a sum overflows a
-    double, or underflows to 0 for two rows that differ: either would turn
-    a distance into inf or 0 and the verdicts built on it into nonsense.
+    double, or falls below the normal double range for two rows that
+    differ: the first turns a distance into inf, the second into 0 or a
+    subnormal with too few significant bits, and the verdicts built on
+    either into nonsense.
     """
     upper = b is None
     if upper:
@@ -175,10 +177,10 @@ def power_sum_blocks(
             sums = pow_abs(diffs, p).sum(axis=2)
         if not sums.max() < np.inf:
             raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
-        if diffs[sums == 0.0].any():
+        if diffs[sums < np.finfo(float).tiny].any():
             raise ValueError(
-                f"p-norm distances of distinct points underflow to 0 at p = {p:g}; "
-                "rescale the points"
+                f"p-norm power sums of distinct points fall below the normal double "
+                f"range at p = {p:g}; rescale the points"
             )
         yield start, stop, sums
 

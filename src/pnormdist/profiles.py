@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .andmatrix import AndReport, check_and, verdict_rank
+from .andmatrix import DEFAULT_EIG_TOL, AndReport, check_and, verdict_rank
 from .errors import VerdictMismatchError
 from .geometry import DistanceMatrix, PLike, PointsLike
 
@@ -265,7 +265,7 @@ class ProfileMatrixResult:
 
 
 def matrix_from_profile(
-    x: PointsLike, p: PLike, profile: RadialProfile, tol: float = 1e-10
+    x: PointsLike, p: PLike, profile: RadialProfile, tol: float = DEFAULT_EIG_TOL
 ) -> ProfileMatrixResult:
     """Build the profile matrix and cross-check the observed verdict.
 

@@ -50,7 +50,6 @@ from .geometry import (
 
 MAX_BERNSTEIN_DEGREE = 50  # binomials C(k, j) stay exact in doubles through here
 MAX_CUBE_SIDE = 12  # cube pairs up to 2^12 + 2^12 points
-DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_CERT_TOL = 1e-8
 DEFAULT_CERT_SIDE_CAP = 5  # full matrices up to 2^5 + 2^5 = 64 points
 REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
@@ -133,16 +132,17 @@ def cube_config(m: int, n: int, theta: float, p: PLike) -> CubeConfig:
         raise ValueError(f"theta must be positive, got {theta}")
     a = m ** (-1.0 / pe.p)
     b = theta * n ** (-1.0 / pe.p)
+    # positive half-widths keep each cube's vertices apart; the blocks are orthogonal
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(
+            f"cube configuration has coincident points: a half-width underflows to 0 "
+            f"(m^(-1/p) = {a:g}, theta * n^(-1/p) = {b:g})"
+        )
     gm = np.zeros((2**m, m + n))
     gm[:, :m] = a * _sign_grid(m)
     gn = np.zeros((2**n, m + n))
     gn[:, m:] = b * _sign_grid(n)
     points = PointSet(np.vstack([gm, gn]))
-    if not points.is_distinct():
-        raise ValueError(
-            f"cube configuration has coincident points: a half-width underflows to 0 "
-            f"(m^(-1/p) = {a:g}, theta * n^(-1/p) = {b:g})"
-        )
     return CubeConfig(m=m, n=n, theta=float(theta), p=pe, points=points)
 
 
@@ -200,12 +200,13 @@ class RootResult:
     iterations: int
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> RootResult:
-    """Bisection for f(lo) < 0 < f(hi), refined to near machine precision.
+def _bisect(f, lo: float, hi: float) -> RootResult:
+    """Bisection for f(lo) < 0 < f(hi), narrowed to a few ulps.
 
-    The loop always narrows the bracket to a few ulps (the extra iterations
-    are cheap and make the reported residual machine-level); tol is then
-    validated as an upper bound on the final bracket width.
+    This is the one check of a root bracket: ends without that sign change
+    raise CertificationError. The loop halves the bracket down to
+    8 eps max(1, |lo|, |hi|); the extra iterations are cheap and make the
+    reported residual machine-level.
     """
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi):
@@ -226,70 +227,50 @@ def _bisect(f, lo: float, hi: float, tol: float) -> RootResult:
             lo = mid
         else:
             hi = mid
-    if hi - lo > tol:
-        raise ValueError(
-            f"requested bracket tolerance {tol:g} not reachable (achieved {hi - lo:g})"
-        )
     value = 0.5 * (lo + hi)
     return RootResult(value=value, residual=abs(f(value)), bracket=(lo, hi), iterations=iterations)
 
 
-def find_pn(n: int, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
-    """The unique root p_n > 2 of psi_n, for n >= 2.
+def find_pn(n: int) -> RootResult:
+    """The unique root p_n > 2 of psi_n, for n >= 2, bisected on [2 + 1e-9, 4].
 
-    psi_n(2) < 0 and psi_n -> 1 - 2^(1-n) > 0 as p grows, and psi_n is
-    strictly increasing, so doubling the upper end from 4 always brackets
-    the single root.
+    psi_n is strictly increasing in p and negative at p = 2, and
+    p_n <= p_2 ~ 2.80 < 4, so the bracket holds the single root.
     """
     if n < 2:
         raise ValueError(
             f"n must be >= 2: psi_1 tends to 1 - 2^(1-n) = 0 as p -> infinity, "
             f"so no root exists for n = {n}"
         )
-    lo = 2.0 + 1e-9
-    if psi(n, lo) >= 0.0:
-        raise CertificationError(f"internal error: psi_{n}({lo}) is not negative")
-    hi = 4.0
-    for _ in range(60):
-        if psi(n, hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise CertificationError(f"internal error: failed to bracket the root of psi_{n}")
-    return _bisect(lambda q: psi(n, q), lo, hi, tol)
+    return _bisect(lambda q: psi(n, q), 2.0 + 1e-9, 4.0)
 
 
-def find_pmn(m: int, n: int, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
+def find_pmn(m: int, n: int) -> RootResult:
     """The root p_{m,n} of phi_{m,n}, bracketed by (p_max(m,n), p_min(m,n)).
 
-    phi is symmetric in (m, n); for m = n this is exactly p_n. The bracket
-    endpoints come from find_pn, and the interleaving
-    phi_{a,a} < phi_{a,b} < phi_{b,b} (a < b) is spot-checked on a probe
-    grid before bisecting.
+    phi is symmetric in (m, n); for m = n this is exactly p_n. For a < b,
+    B_a < B_b (Bernstein values of the concave t^(1/p) increase with the
+    degree), so phi_{a,a} < phi_{a,b} < phi_{b,b} and phi_{a,b} changes
+    sign between p_b and p_a.
     """
     if m < 2 or n < 2:
         raise ValueError(f"m and n must both be >= 2, got m={m}, n={n}")
     if m == n:
-        return find_pn(n, tol)
+        return find_pn(n)
     a, b = min(m, n), max(m, n)
-    upper = find_pn(a, tol)  # fewer vertices -> larger root
-    lower = find_pn(b, tol)
-    for q in np.linspace(lower.value, upper.value, 11)[1:-1]:
-        if not (phi(a, a, q) < phi(a, b, q) < phi(b, b, q)):
-            raise CertificationError(
-                f"internal error: phi interleaving violated at p={q} for (m,n)=({a},{b})"
-            )
-    return _bisect(lambda q: phi(m, n, q), lower.value, upper.value, tol)
+    upper = find_pn(a)  # fewer vertices -> larger root
+    lower = find_pn(b)
+    return _bisect(lambda q: phi(m, n, q), lower.value, upper.value)
 
 
-def find_theta(n: int, p: PLike, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
+def find_theta(n: int, p: PLike) -> RootResult:
     """The cube rescaling theta* in (0, 1) making the (n, n) pair singular at p.
 
     Bisects phi(n, n, p, theta) over theta. Requires p > p_n so that
     phi(n, n, p, 1) > 0; psi_n is strictly increasing, so that is
     psi_n(p) > 0, and p_n itself is only computed for the error message.
     The lower end of the theta bracket halves until the value goes negative
-    (the theta -> 0 limit is -1).
+    (the theta -> 0 limit is -1); `_bisect` rejects a bracket that never does.
     """
     pe = as_pexponent(p)
     if n < 2:
@@ -297,16 +278,14 @@ def find_theta(n: int, p: PLike, tol: float = DEFAULT_ROOT_TOL) -> RootResult:
     if psi(n, pe) <= 0.0:
         raise ValueError(
             f"p ≤ p_n: a theta-scaled singular pair needs p > p_{n} = "
-            f"{find_pn(n, tol).value:.12g}, got p = {pe.p}"
+            f"{find_pn(n).value:.12g}, got p = {pe.p}"
         )
     theta_lo = 0.5
     for _ in range(200):
         if phi(n, n, pe, theta_lo) < 0.0:
             break
         theta_lo *= 0.5
-    else:
-        raise CertificationError("internal error: failed to bracket theta*")
-    return _bisect(lambda t: phi(n, n, pe, t), theta_lo, 1.0, tol)
+    return _bisect(lambda t: phi(n, n, pe, t), theta_lo, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +382,7 @@ def certify_singular(
     return record
 
 
-def rate_table(ns, tol: float = DEFAULT_ROOT_TOL):
+def rate_table(ns):
     """Rows (n, p_n, n*(p_n - 2)) for empirical convergence-rate inspection.
 
     Checks that p_n is strictly decreasing in n, stays above 2, and that the
@@ -411,7 +390,7 @@ def rate_table(ns, tol: float = DEFAULT_ROOT_TOL):
     """
     rows = []
     for n in ns:
-        root = find_pn(int(n), tol)
+        root = find_pn(int(n))
         rows.append((int(n), root.value, int(n) * (root.value - 2.0)))
     by_n = sorted(rows)
     for (n1, p1, r1), (n2, p2, _) in zip(by_n, by_n[1:]):

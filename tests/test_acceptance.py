@@ -7,6 +7,7 @@ pass/fail lines alongside the pytest verdicts.
 import ast
 import importlib
 import math
+import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -241,6 +242,16 @@ PUBLIC_API = [
     "write_matrix_csv",
     "write_points_csv",
 ]
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert names["root"].value == pytest.approx(2.80097422586, abs=1e-11)
+    assert names["s"](names["x"][0]) == pytest.approx(names["f"][0], abs=1e-8)
 
 
 def test_public_api_is_pinned():

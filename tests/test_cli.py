@@ -126,8 +126,8 @@ class TestToleranceFlags:
         "distmat": set(),
         "check-and": {"--tol-eig"},
         "embed": {"--tol-eig"},
-        "find-pn": {"--tol-root"},
-        "singular-config": {"--tol-root", "--tol-cert"},
+        "find-pn": set(),
+        "singular-config": {"--tol-cert"},
         "interp": {"--tol-cert"},
         "scan-psi": set(),
     }
@@ -456,6 +456,13 @@ class TestOutOfRangeInput:
         argv = ["interp", str(data), "--p", "1.5", "--query-file", str(pts),
                 "--out", str(tmp_path / "vals.csv")]
         assert_input_error(capsys, argv)
+
+    def test_subnormal_power_sums_exit_2(self, tmp_path, capsys):
+        pts = tmp_path / "tiny.csv"
+        x = np.random.default_rng(5).random((5, 2)) * 1e-160
+        pts.write_text("\n".join(",".join(fmt_float(v) for v in row) for row in x) + "\n")
+        err = assert_input_error(capsys, ["check-and", str(pts), "--p", "2"])
+        assert "below the normal double range" in err
 
     def test_far_query_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

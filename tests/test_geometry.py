@@ -196,6 +196,12 @@ class TestBuildDistanceMatrix:
         with pytest.raises(ValueError, match="rescale the points"):
             build_distance_matrix([[0.0, 0.0], [far, 0.0]], 1.5)
 
+    def test_subnormal_power_sums_raise(self):
+        # squared differences near 1e-320 are subnormal and keep too few bits
+        x = np.random.default_rng(5).random((5, 2))
+        with pytest.raises(ValueError, match="below the normal double range"):
+            build_distance_matrix(x * 1e-160, 2)
+
     def test_peak_memory_is_output_plus_a_block(self):
         n = 3000
         x = np.random.default_rng(6).standard_normal((n, 3))

@@ -269,6 +269,10 @@ class TestFindPn:
         with pytest.raises(ValueError, match=r"1 - 2\^\(1-n\) = 0"):
             find_pn(1)
 
+    def test_fixed_bracket_changes_sign_for_every_degree(self):
+        for n in range(2, singular.MAX_BERNSTEIN_DEGREE + 1):
+            assert psi(n, 2.0 + 1e-9) < 0.0 < psi(n, 4.0), n
+
 
 class TestFindPmn:
     def test_equal_sides_delegates(self):
@@ -290,6 +294,19 @@ class TestFindPmn:
     def test_rejects_small_sides(self):
         with pytest.raises(ValueError):
             find_pmn(1, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sides=st.lists(st.integers(2, 12), min_size=2, max_size=2, unique=True).map(sorted),
+        frac=st.floats(0.01, 0.99),
+    )
+    def test_phi_interleaves_between_the_roots(self, sides, frac):
+        # B_i of the concave t^(1/p) increases with i, so phi_{a,b} lies between
+        # phi_{a,a} and phi_{b,b}; this is what brackets p_{a,b} by (p_b, p_a)
+        a, b = sides
+        lo, hi = find_pn(b).value, find_pn(a).value
+        q = lo + frac * (hi - lo)
+        assert phi(a, a, q) < phi(a, b, q) < phi(b, b, q)
 
 
 class TestFindTheta:
