@@ -10,8 +10,7 @@ genuine Euclidean point set one dimension up.
 
 import numpy as np
 
-from pnormdist import build_distance_matrix, check_and, schoenberg_embed
-from pnormdist.geometry import pow_abs
+from pnormdist import build_distance_matrix, check_and, identity, schoenberg_embed
 
 # -- embed the 1-norm unit square ------------------------------------------
 square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -24,12 +23,7 @@ print("max | |y_i-y_j|^2 - A_ij | =", emb.residual)
 rng = np.random.default_rng(7)
 for p in (0.5, 1.0, 1.5):
     x = rng.standard_normal((8, 3))
-    n = x.shape[0]
-    B = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, 1)
-    vals = pow_abs(x[iu] - x[ju], p).sum(axis=1)
-    B[iu, ju] = vals
-    B[ju, iu] = vals
+    B = build_distance_matrix(x, p, identity("p-th-power-distance")).entries
     emb = schoenberg_embed(B)
     print(f"p = {p}: ||x_i - x_j||_p^p embeds with residual {emb.residual:.2e}")
 

@@ -20,6 +20,7 @@ from pnormdist import (
     find_pmn,
     find_pn,
     find_theta,
+    phi,
     reduced_system,
 )
 
@@ -34,11 +35,11 @@ record = certify_singular(config)
 print("null vector blocks: lambda =", record.lam, " mu =", record.mu)
 print("null residual ||Av|| / (||A|| ||v||) =", record.residual)
 
-# the reduced system really is the whole story: its kernel, spread constant
-# over each cube, kills every row of the 144-entry matrix
-rs = reduced_system(2, 2, 1.0, root.value)
-print("reduced 2x2 matrix:\n", rs.matrix)
-print("scaled determinant:", rs.scaled_det())
+# the reduced 2x2 matrix really is the whole story: its kernel, spread
+# constant over each cube, kills every row of the 144-entry matrix, and its
+# determinant over 2^(m+n) is phi, zero at the root
+print("reduced 2x2 matrix:\n", reduced_system(2, 2, 1.0, root.value))
+print("scaled determinant phi(2, 2, p_2):", phi(2, 2, root.value))
 
 # -- unequal cubes fill in more exponents -----------------------------------
 for m, n in ((2, 3), (3, 3), (3, 4)):

@@ -37,7 +37,7 @@ try:
     fit(square, [1.0, 0.0, 0.0, 0.0], p=1.0)
 except SingularSystemError as exc:
     print("\nunit square at p=1 ->", exc.__class__.__name__)
-    print("   attached verdict:", exc.report.verdict, "| det sign:", exc.report.det_sign)
+    print("   attached verdict:", exc.record.verdict, "| det sign:", exc.record.det_sign)
 
 # -- other profiles ride the same machinery ----------------------------------
 s_mq = fit(centers, values, p=1.0, profile=multiquadric())

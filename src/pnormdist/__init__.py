@@ -19,13 +19,11 @@ from .errors import (
     EmbeddingError,
     InputError,
     NotAndError,
-    NotPsdError,
     SingularSystemError,
     VerdictMismatchError,
 )
 from .geometry import (
     DistanceMatrix,
-    PExponent,
     PointSet,
     build_distance_matrix,
     pnorm,
@@ -48,7 +46,6 @@ from .profiles import (
 from .singular import (
     CertificationRecord,
     CubeConfig,
-    ReducedSystem,
     RootResult,
     bernstein_half,
     certify_singular,
@@ -76,11 +73,8 @@ __all__ = [
     "InputError",
     "Interpolant",
     "NotAndError",
-    "NotPsdError",
-    "PExponent",
     "PointSet",
     "RadialProfile",
-    "ReducedSystem",
     "RootResult",
     "SingularSystemError",
     "VerdictMismatchError",

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import EmbeddingError, NotAndError, NotPsdError
+from .errors import EmbeddingError, NotAndError
 
 VERDICT_NOT_AND = "not-AND"
 VERDICT_AND = "AND"
@@ -176,23 +176,6 @@ def check_and(A, tol: float = DEFAULT_EIG_TOL) -> AndReport:
     )
 
 
-def _psd_factor(B: np.ndarray, cut: float) -> np.ndarray:
-    """Factor a symmetric non-negative definite B as B = P^T P via eigendecomposition.
-
-    Eigenvalues in [-cut, 0] are clamped to 0 (rank-deficient input is a
-    first-class case); anything below raises NotPsdError. The rows of P are
-    ordered by ascending eigenvalue. B is not checked for symmetry: the
-    zero-sum restriction is bitwise symmetric by construction.
-    """
-    w, V = np.linalg.eigh(B)
-    if w.min() < -cut:
-        raise NotPsdError(
-            f"matrix is not non-negative definite: min eigenvalue {w.min():.3e} < {-cut:.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    return np.sqrt(w)[:, None] * V.T  # rows sqrt(w_i) * v_i^T, so P^T P = B
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Vectors y^1..y^n with |y^i - y^j|^2 reproducing a zero-diagonal AND matrix.
@@ -217,14 +200,16 @@ def schoenberg_embed(A, tol: float = DEFAULT_EIG_TOL, rank: Optional[int] = None
     """Embed a zero-diagonal AND matrix as squared Euclidean distances.
 
     Construction: B' = restrict_to_zero_sum(A); P with P^T P = B' from one
-    eigendecomposition of B'; the embedding vectors are the columns of
+    eigendecomposition B' = V diag(w) V^T, as the rows sqrt(w_i) v_i^T in
+    ascending order of w_i; the embedding vectors are the columns of
     P/sqrt(2) plus the zero vector, in dimension n-1 (or `rank` if
     truncation is requested, keeping the dominant eigendirections). An
     eigenvalue of B' below check_and's cut-off -tol*|A|_max means A is not
-    AND, and raises NotAndError carrying check_and's report. Distinctness
-    transfers: A_ij != 0 for i != j implies y^i != y^j. Without truncation
-    the residual must stay within 10*tol*|A|_max, a cut-off that scales
-    with A.
+    AND, and raises NotAndError carrying check_and's report; eigenvalues in
+    [-tol*|A|_max, 0] are clamped to 0, so rank-deficient (merely AND)
+    matrices embed. Distinctness transfers: A_ij != 0 for i != j implies
+    y^i != y^j. Without truncation the residual must stay within
+    10*tol*|A|_max, a cut-off that scales with A.
     """
     A = np.asarray(A, dtype=float)
     B = restrict_to_zero_sum(A)
@@ -232,13 +217,13 @@ def schoenberg_embed(A, tol: float = DEFAULT_EIG_TOL, rank: Optional[int] = None
     if np.any(np.diag(A) != 0.0):
         raise ValueError("matrix must have an exactly zero diagonal")
     scale = float(np.abs(A).max())
-    try:
-        P = _psd_factor(B, tol * scale)
-    except NotPsdError:
+    w, V = np.linalg.eigh(B)
+    if w.min() < -tol * scale:
         raise NotAndError(
             "matrix is not almost negative definite; no squared-distance embedding exists",
             record=check_and(A, tol),
-        ) from None
+        )
+    P = np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T  # P^T P = B
     if rank is not None:
         if not 1 <= rank <= n - 1:
             raise ValueError(f"rank must be in [1, {n - 1}], got {rank}")

@@ -24,10 +24,6 @@ class NotAndError(CertificationError):
     """Matrix required to be almost negative definite is not."""
 
 
-class NotPsdError(CertificationError):
-    """Matrix required to be non-negative definite has a negative eigenvalue."""
-
-
 class EmbeddingError(CertificationError):
     """Schoenberg embedding residual exceeded its tolerance."""
 
@@ -35,12 +31,8 @@ class EmbeddingError(CertificationError):
 class SingularSystemError(CertificationError):
     """Interpolation system is singular or too ill-conditioned to solve.
 
-    Carries the AndReport of the offending matrix in `report`.
+    Carries the AndReport of the offending matrix in `record`.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class VerdictMismatchError(CertificationError):

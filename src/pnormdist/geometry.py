@@ -32,24 +32,15 @@ if TYPE_CHECKING:
 BLOCK_BYTES = 512 * 1024  # coordinate differences held per block
 
 
-@dataclass(frozen=True)
-class PExponent:
-    """A validated exponent p > 0 for the p-norm."""
+def finite_positive(value, name: str = "p") -> float:
+    """`value` as a float; raises ValueError, naming `name`, unless 0 < value < inf.
 
-    p: float
-
-    def __post_init__(self):
-        p = float(self.p)
-        if not np.isfinite(p) or p <= 0.0:
-            raise ValueError(f"p must be a finite positive real, got {self.p!r}")
-        object.__setattr__(self, "p", p)
-
-
-PLike = Union[float, PExponent]
-
-
-def as_pexponent(p: PLike) -> PExponent:
-    return p if isinstance(p, PExponent) else PExponent(float(p))
+    Every public function that takes the exponent p validates it here once.
+    """
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be a finite positive real, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -128,14 +119,14 @@ def pow_abs(values, p: float) -> np.ndarray:
     return out
 
 
-def pnorm(v, p: PLike) -> float:
+def pnorm(v, p: float) -> float:
     """(sum_k |v_k|^p)^(1/p); returns 0 exactly iff v = 0.
 
     Computed as m * ||v/m||_p with m = max_k |v_k|, so the power sum lies in
     [1, dimension] and neither overflows nor underflows; raises ValueError
     only when the norm itself is beyond the double range.
     """
-    pe = as_pexponent(p)
+    p = finite_positive(p)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"v must be a 1-d vector of dimension >= 1, got shape {v.shape}")
@@ -145,9 +136,9 @@ def pnorm(v, p: PLike) -> float:
     if m == 0.0:
         return 0.0
     with np.errstate(over="ignore"):
-        norm = m * pow_abs(v / m, pe.p).sum() ** (1.0 / pe.p)
+        norm = m * pow_abs(v / m, p).sum() ** (1.0 / p)
     if not np.isfinite(norm):
-        raise ValueError(f"the p-norm overflows a double at p = {pe.p:g}")
+        raise ValueError(f"the p-norm overflows a double at p = {p:g}")
     return float(norm)
 
 
@@ -186,7 +177,7 @@ def power_sum_blocks(
 
 
 def build_distance_matrix(
-    x: PointsLike, p: PLike, profile: "Optional[RadialProfile]" = None
+    x: PointsLike, p: float, profile: "Optional[RadialProfile]" = None
 ) -> DistanceMatrix:
     """Assemble A_ij = profile(||x_i - x_j||_p) from mirrored upper blocks.
 
@@ -197,15 +188,15 @@ def build_distance_matrix(
     n x n result plus one block.
     """
     pts = as_point_set(x)
-    pe = as_pexponent(p)
+    p = finite_positive(p)
     n = pts.n
     entries = np.zeros((n, n))
     if n > 1:
-        for start, stop, sums in power_sum_blocks(pts.points, None, pe.p):
+        for start, stop, sums in power_sum_blocks(pts.points, None, p):
             if profile is None:
-                vals = np.power(sums, 1.0 / pe.p)
+                vals = np.power(sums, 1.0 / p)
             else:
-                vals = profile.apply_to_power_sums(sums, pe.p)
+                vals = profile.apply_to_power_sums(sums, p)
             entries[start:stop, start:] = vals
             entries[start:, start:stop] = vals.T
     diag = 0.0 if profile is None else profile(0.0)

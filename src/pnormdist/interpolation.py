@@ -26,13 +26,11 @@ from . import profiles as prof
 from .andmatrix import check_and, ldl_factor
 from .errors import CertificationError, SingularSystemError
 from .geometry import (
-    PExponent,
-    PLike,
     PointSet,
     PointsLike,
-    as_pexponent,
     as_point_set,
     build_distance_matrix,
+    finite_positive,
     power_sum_blocks,
 )
 from .serialize import dumps, loads
@@ -44,7 +42,7 @@ DEFAULT_FIT_TOL = 1e-8
 class Interpolant:
     centers: PointSet
     coefficients: np.ndarray
-    p: PExponent
+    p: float
     profile: prof.RadialProfile
     condition_estimate: float
     guaranteed: bool
@@ -60,8 +58,8 @@ class Interpolant:
                 f"queries must have shape (k, {self.centers.d}), got {queries.shape}"
             )
         out = np.empty(queries.shape[0])
-        for start, stop, sums in power_sum_blocks(queries, self.centers.points, self.p.p):
-            vals = self.profile.apply_to_power_sums(sums, self.p.p)
+        for start, stop, sums in power_sum_blocks(queries, self.centers.points, self.p):
+            vals = self.profile.apply_to_power_sums(sums, self.p)
             # vecdot reduces each row with the dot product np.dot uses on two
             # vectors (a matrix-vector product sums in another order), so a
             # value does not depend on the block its query falls in
@@ -72,7 +70,7 @@ class Interpolant:
 def fit(
     x: PointsLike,
     f,
-    p: PLike,
+    p: float,
     profile: Optional[prof.RadialProfile] = None,
     tol: float = DEFAULT_FIT_TOL,
 ) -> Interpolant:
@@ -81,7 +79,7 @@ def fit(
     The relative residual ||A lambda - f|| / ||f|| must come out below tol.
     """
     pts = as_point_set(x)
-    pe = as_pexponent(p)
+    p = finite_positive(p)
     if profile is None:
         profile = prof.identity()
     f = np.asarray(f, dtype=float)
@@ -92,7 +90,7 @@ def fit(
     guaranteed = (
         profile.kind == "identity"
         and profile.input_convention == prof.DISTANCE
-        and 1.0 < pe.p <= 2.0
+        and 1.0 < p <= 2.0
         and pts.n >= 2
         and pts.is_distinct()
     )
@@ -104,10 +102,10 @@ def fit(
                 raise SingularSystemError(
                     "1x1 system with profile(0) = 0 cannot match nonzero data"
                 )
-            return Interpolant(pts, np.zeros(1), pe, profile, float("inf"), False)
-        return Interpolant(pts, f / phi0, pe, profile, 1.0, False)
+            return Interpolant(pts, np.zeros(1), p, profile, float("inf"), False)
+        return Interpolant(pts, f / phi0, p, profile, 1.0, False)
 
-    A = build_distance_matrix(pts, pe, profile).entries
+    A = build_distance_matrix(pts, p, profile).entries
     lu, ipiv, _ = ldl_factor(A)
     coeffs = lapack.dsytrs(lu, ipiv, f)[0]
     fnorm = float(np.linalg.norm(f))
@@ -119,20 +117,20 @@ def fit(
             # allocates (OpenBLAS dasum); single precision keeps reruns identical
             rcond = float(np.float32(lapack.dsycon(lu, ipiv, np.linalg.norm(A, 1))[0]))
             cond = 1.0 / rcond if rcond > 0.0 else float("inf")
-            return Interpolant(pts, coeffs, pe, profile, cond, guaranteed)
+            return Interpolant(pts, coeffs, p, profile, cond, guaranteed)
     else:
         residual = float("inf")
     if guaranteed:
         raise CertificationError(
-            f"numerical breakdown: the system is provably nonsingular for p={pe.p} "
+            f"numerical breakdown: the system is provably nonsingular for p={p} "
             f"with the identity profile, yet the solve residual is {residual:.3e}"
         )
     report = check_and(A)
     raise SingularSystemError(
         f"singular or too ill-conditioned system (residual {residual:.3e}, "
         f"verdict {report.verdict}, det_sign {report.det_sign}); "
-        f"no solvability guarantee for p={pe.p} with profile {profile.describe()}",
-        report=report,
+        f"no solvability guarantee for p={p} with profile {profile.describe()}",
+        record=report,
     )
 
 
@@ -149,7 +147,7 @@ def to_json(s: Interpolant) -> str:
         {
             "centers": s.centers.points,
             "coefficients": s.coefficients,
-            "p": s.p.p,
+            "p": s.p,
             "profile": prof.to_json_dict(s.profile),
             "condition_estimate": s.condition_estimate,
             "guaranteed": s.guaranteed,
@@ -164,6 +162,6 @@ def from_json(text: str) -> Interpolant:
     if coeffs.shape != (pts.n,):
         raise ValueError("coefficients do not match centers")
     profile = prof.from_json_dict(obj["profile"])
-    pe = as_pexponent(float(obj["p"]))
+    p = finite_positive(obj["p"])
     cond = float(obj["condition_estimate"])  # also reads the "inf" string form
-    return Interpolant(pts, coeffs, pe, profile, cond, bool(obj["guaranteed"]))
+    return Interpolant(pts, coeffs, p, profile, cond, bool(obj["guaranteed"]))

@@ -32,7 +32,7 @@ import numpy as np
 from . import geometry
 from .andmatrix import DEFAULT_EIG_TOL, AndReport, check_and, verdict_rank
 from .errors import VerdictMismatchError
-from .geometry import DistanceMatrix, PLike, PointsLike
+from .geometry import DistanceMatrix, PointsLike
 
 DISTANCE = "distance"
 SQUARED_DISTANCE = "squared-distance"
@@ -220,7 +220,7 @@ def _base_matrix_class(convention: str, p: float):
     raise ValueError(f"unknown input convention: {convention!r}")
 
 
-def predict_verdict(profile: RadialProfile, p: PLike, n: int, distinct: bool):
+def predict_verdict(profile: RadialProfile, p: float, n: int, distinct: bool):
     """Strongest AND verdict the catalog guarantees, or None if no guarantee.
 
     Returns (verdict, source). The identity profile passes the base matrix
@@ -228,8 +228,7 @@ def predict_verdict(profile: RadialProfile, p: PLike, n: int, distinct: bool):
     gives at least AND, strictly when the profile is strictly CND1 and the
     points are distinct (nonzero off-diagonal arguments).
     """
-    pe = geometry.as_pexponent(p)
-    base, source = _base_matrix_class(profile.input_convention, pe.p)
+    base, source = _base_matrix_class(profile.input_convention, geometry.finite_positive(p))
     if base is None:
         return None, source
     if profile.kind == "identity":
@@ -243,10 +242,9 @@ def predict_verdict(profile: RadialProfile, p: PLike, n: int, distinct: bool):
     return None, f"profile carries no CND1 flag over {source}"
 
 
-def predict_positive_definite(profile: RadialProfile, p: PLike, n: int, distinct: bool):
+def predict_positive_definite(profile: RadialProfile, p: float, n: int, distinct: bool):
     """True when the matrix is guaranteed positive definite, else None."""
-    pe = geometry.as_pexponent(p)
-    base, source = _base_matrix_class(profile.input_convention, pe.p)
+    base, source = _base_matrix_class(profile.input_convention, geometry.finite_positive(p))
     if base is None or not profile.flags.strictly_positive_definite:
         return None, source
     if distinct and n >= 1:
@@ -265,7 +263,7 @@ class ProfileMatrixResult:
 
 
 def matrix_from_profile(
-    x: PointsLike, p: PLike, profile: RadialProfile, tol: float = DEFAULT_EIG_TOL
+    x: PointsLike, p: float, profile: RadialProfile, tol: float = DEFAULT_EIG_TOL
 ) -> ProfileMatrixResult:
     """Build the profile matrix and cross-check the observed verdict.
 
@@ -275,14 +273,14 @@ def matrix_from_profile(
     positive definite must additionally have min eigenvalue > 0.
     """
     pts = geometry.as_point_set(x)
-    pe = geometry.as_pexponent(p)
+    p = geometry.finite_positive(p)
     if pts.n < 2:
         raise ValueError("need n >= 2 points for a meaningful verdict")
     distinct = pts.is_distinct()
-    dm = geometry.build_distance_matrix(pts, pe, profile)
+    dm = geometry.build_distance_matrix(pts, p, profile)
     report = check_and(dm.entries, tol)
-    predicted, source = predict_verdict(profile, pe, pts.n, distinct)
-    predicted_pd, pd_source = predict_positive_definite(profile, pe, pts.n, distinct)
+    predicted, source = predict_verdict(profile, p, pts.n, distinct)
+    predicted_pd, pd_source = predict_positive_definite(profile, p, pts.n, distinct)
     min_eig = None
     if profile.flags.positive_definite:
         min_eig = float(np.linalg.eigvalsh(dm.entries).min())

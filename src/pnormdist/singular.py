@@ -3,14 +3,15 @@
 For p > 2, take the 2^m vertices of [-m^(-1/p), m^(-1/p)]^m and the 2^n
 vertices of [theta*(-n^(-1/p)), theta*n^(-1/p)]^n, embedded in orthogonal
 coordinate blocks of R^(m+n). Two facts collapse the (2^m+2^n)-point
-interpolation system to the 2x2 system `reduced_system(m, n, theta, p)`:
+interpolation system to the 2x2 matrix `reduced_system(m, n, theta, p)`
+acting on the per-cube coefficients (lambda, mu):
 
   (i)  every cross-pair distance equals (1 + theta^p)^(1/p) (= 2^(1/p) at
        theta = 1), and
   (ii) the within-cube distance sum is the same from every base vertex,
        namely 2*sum_k C(m,k) (k/m)^(1/p) for the first cube.
 
-Scaling the 2x2 determinant by 2^-(m+n) produces, in terms of the Bernstein
+Scaling its determinant by 2^-(m+n) produces, in terms of the Bernstein
 value B_i = 2^-i sum_j C(i,j) (j/i)^(1/p) of t -> t^(1/p) at 1/2,
 
     phi(m, n, p, theta) = 4 theta B_m B_n - (1 + theta^p)^(2/p)
@@ -26,7 +27,7 @@ singularity, which covers every p > 2.
 Root finding is plain bisection: monotonicity makes it certified-correct
 and no derivative is needed. `certify_singular` is the trust anchor for the
 2x2 reduction: on the full distance matrix it checks facts (i) and (ii)
-entry by entry and row by row against the reduced system, then the residual
+entry by entry and row by row against the reduced matrix, then the residual
 r = ||A v|| / (sigma_max ||v||) of an explicit block-constant null vector v.
 By Courant-Fischer sigma_min <= r sigma_max, and by Perron-Frobenius sigma_max
 is the Perron root of the 2x2 reduced matrix, so no SVD is taken.
@@ -40,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .geometry import (
-    PExponent,
-    PLike,
-    PointSet,
-    as_pexponent,
-    build_distance_matrix,
-)
+from .geometry import PointSet, build_distance_matrix, finite_positive
 
 MAX_BERNSTEIN_DEGREE = 50  # binomials C(k, j) stay exact in doubles through here
 MAX_CUBE_SIDE = 12  # cube pairs up to 2^12 + 2^12 points
@@ -55,38 +50,36 @@ DEFAULT_CERT_SIDE_CAP = 5  # full matrices up to 2^5 + 2^5 = 64 points
 REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
 
 
-def bernstein_half(i: int, p: PLike) -> float:
+def bernstein_half(i: int, p: float) -> float:
     """Bernstein value of t -> t^(1/p) at t = 1/2, degree i in [1, MAX_BERNSTEIN_DEGREE].
 
     2^(-i) sum_{j=0}^{i} C(i,j) (j/i)^(1/p), with the j = 0 term defined as 0.
     """
     if not 1 <= i <= MAX_BERNSTEIN_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_BERNSTEIN_DEGREE}], got {i}")
-    q = as_pexponent(p).p
+    q = finite_positive(p)
     binomials = np.array([math.comb(i, j) for j in range(1, i + 1)], dtype=float)
     return float(np.sum(binomials * np.power(np.arange(1, i + 1) / i, 1.0 / q))) * 2.0 ** (-i)
 
 
-def psi(n: int, p: PLike) -> float:
+def psi(n: int, p: float) -> float:
     """2 B_n - 2^(1/p): the factor of phi(n,n) whose root makes the pair singular."""
-    pe = as_pexponent(p)
-    return 2.0 * bernstein_half(n, pe) - 2.0 ** (1.0 / pe.p)
+    p = finite_positive(p)
+    return 2.0 * bernstein_half(n, p) - 2.0 ** (1.0 / p)
 
 
-def psi_limit(p: PLike) -> float:
+def psi_limit(p: float) -> float:
     """Pointwise limit of psi_n: 2^(1-1/p) - 2^(1/p); zero exactly at p = 2."""
-    pe = as_pexponent(p)
-    return 2.0 ** (1.0 - 1.0 / pe.p) - 2.0 ** (1.0 / pe.p)
+    p = finite_positive(p)
+    return 2.0 ** (1.0 - 1.0 / p) - 2.0 ** (1.0 / p)
 
 
-def phi(m: int, n: int, p: PLike, theta: float = 1.0) -> float:
+def phi(m: int, n: int, p: float, theta: float = 1.0) -> float:
     """Scaled determinant 4 theta B_m B_n - (1 + theta^p)^(2/p) of the cube pair."""
-    pe = as_pexponent(p)
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    return 4.0 * theta * bernstein_half(m, pe) * bernstein_half(n, pe) - (
-        1.0 + theta**pe.p
-    ) ** (2.0 / pe.p)
+    p, theta = finite_positive(p), finite_positive(theta, "theta")
+    return 4.0 * theta * bernstein_half(m, p) * bernstein_half(n, p) - (
+        1.0 + theta**p
+    ) ** (2.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +97,7 @@ class CubeConfig:
     m: int
     n: int
     theta: float
-    p: PExponent
+    p: float
     points: PointSet
 
     @property
@@ -123,15 +116,13 @@ def _sign_grid(k: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def cube_config(m: int, n: int, theta: float, p: PLike) -> CubeConfig:
+def cube_config(m: int, n: int, theta: float, p: float) -> CubeConfig:
     """Build the two-cube configuration; `certify_singular` checks its reduction."""
     if not (1 <= m <= MAX_CUBE_SIDE and 1 <= n <= MAX_CUBE_SIDE):
         raise ValueError(f"m and n must be in [1, {MAX_CUBE_SIDE}], got m={m}, n={n}")
-    pe = as_pexponent(p)
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    a = m ** (-1.0 / pe.p)
-    b = theta * n ** (-1.0 / pe.p)
+    p, theta = finite_positive(p), finite_positive(theta, "theta")
+    a = m ** (-1.0 / p)
+    b = theta * n ** (-1.0 / p)
     # positive half-widths keep each cube's vertices apart; the blocks are orthogonal
     if not (a > 0.0 and b > 0.0):
         raise ValueError(
@@ -143,49 +134,25 @@ def cube_config(m: int, n: int, theta: float, p: PLike) -> CubeConfig:
     gn = np.zeros((2**n, m + n))
     gn[:, m:] = b * _sign_grid(n)
     points = PointSet(np.vstack([gm, gn]))
-    return CubeConfig(m=m, n=n, theta=float(theta), p=pe, points=points)
+    return CubeConfig(m=m, n=n, theta=theta, p=p, points=points)
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    """The 2x2 system in the per-cube coefficients (lambda, mu)."""
+def reduced_system(m: int, n: int, theta: float, p: float) -> np.ndarray:
+    """The 2x2 matrix of the interpolation equations in the per-cube coefficients (lambda, mu).
 
-    matrix: np.ndarray
-    m: int
-    n: int
-    theta: float
-    p: PExponent
-
-    def det(self) -> float:
-        a = self.matrix
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-    def scaled_det(self) -> float:
-        """det / 2^(m+n); equals phi(m, n, p, theta)."""
-        return self.det() * 2.0 ** (-(self.m + self.n))
-
-    def kernel_coefficients(self):
-        """(lambda, mu) with matrix @ (lambda, mu) ~ 0, normalized, lambda > 0."""
-        a, bb = self.matrix[0]
-        v = np.array([bb, -a])
-        return tuple(v / np.linalg.norm(v))
-
-
-def reduced_system(m: int, n: int, theta: float, p: PLike) -> ReducedSystem:
-    """The 2x2 matrix the interpolation equations reduce to on the cube pair."""
-    pe = as_pexponent(p)
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    bm, bn = bernstein_half(m, pe), bernstein_half(n, pe)
-    cross = (1.0 + theta**pe.p) ** (1.0 / pe.p)
+    Row i holds the two block sums of a row of the full matrix in cube i.
+    Its determinant scaled by 2^-(m+n) is phi(m, n, p, theta).
+    """
+    p, theta = finite_positive(p), finite_positive(theta, "theta")
+    bm, bn = bernstein_half(m, p), bernstein_half(n, p)
+    cross = (1.0 + theta**p) ** (1.0 / p)
     # 2^(i+1) B_i is twice the unscaled Bernstein sum, exactly: a power of two
-    matrix = np.array(
+    return np.array(
         [
             [2.0 ** (m + 1) * bm, 2.0**n * cross],
             [2.0**m * cross, 2.0 ** (n + 1) * theta * bn],
         ]
     )
-    return ReducedSystem(matrix=matrix, m=m, n=n, theta=float(theta), p=pe)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +230,7 @@ def find_pmn(m: int, n: int) -> RootResult:
     return _bisect(lambda q: phi(m, n, q), lower.value, upper.value)
 
 
-def find_theta(n: int, p: PLike) -> RootResult:
+def find_theta(n: int, p: float) -> RootResult:
     """The cube rescaling theta* in (0, 1) making the (n, n) pair singular at p.
 
     Bisects phi(n, n, p, theta) over theta. Requires p > p_n so that
@@ -272,20 +239,20 @@ def find_theta(n: int, p: PLike) -> RootResult:
     The lower end of the theta bracket halves until the value goes negative
     (the theta -> 0 limit is -1); `_bisect` rejects a bracket that never does.
     """
-    pe = as_pexponent(p)
+    p = finite_positive(p)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if psi(n, pe) <= 0.0:
+    if psi(n, p) <= 0.0:
         raise ValueError(
             f"p ≤ p_n: a theta-scaled singular pair needs p > p_{n} = "
-            f"{find_pn(n).value:.12g}, got p = {pe.p}"
+            f"{find_pn(n).value:.12g}, got p = {p}"
         )
     theta_lo = 0.5
     for _ in range(200):
-        if phi(n, n, pe, theta_lo) < 0.0:
+        if phi(n, n, p, theta_lo) < 0.0:
             break
         theta_lo *= 0.5
-    return _bisect(lambda t: phi(n, n, pe, t), theta_lo, 1.0)
+    return _bisect(lambda t: phi(n, n, p, t), theta_lo, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +295,10 @@ def certify_singular(
     Builds the full (2^m + 2^n)-point p-norm distance matrix A and first
     checks the 2x2 reduction on it: every cross entry equals
     (1 + theta^p)^(1/p), and every row's two block sums equal the matching
-    row of `reduced_system(...).matrix`, both to relative REDUCTION_RTOL.
+    row of `reduced_system(...)`, both to relative REDUCTION_RTOL.
     Then it checks ||A v|| / (sigma_max ||v||) <= tol for the block-constant
-    v = (lambda, ..., mu, ...) from the reduced system's kernel; by
+    v = (lambda, ..., mu, ...) with (lambda, mu) = (b, -a) / ||(b, -a)|| from
+    the first row (a, b) of the reduced matrix, its kernel at a root; by
     Courant-Fischer that bounds sigma_min / sigma_max by tol too. A is
     symmetric, positive off the diagonal and equitably partitioned by the
     cubes, so by Perron-Frobenius sigma_max is the Perron root of the 2x2
@@ -346,10 +314,10 @@ def certify_singular(
     A = build_distance_matrix(config.points, config.p).entries
     rs = reduced_system(config.m, config.n, config.theta, config.p)
     first, second = config.first_count, config.second_count
-    cross = rs.matrix[0, 1] / second  # exact: the entry is 2^n (1 + theta^p)^(1/p)
+    cross = rs[0, 1] / second  # exact: the entry is 2^n (1 + theta^p)^(1/p)
     cross_dev = float(np.abs(A[:first, first:] - cross).max()) / cross
     sums = np.stack([A[:, :first].sum(axis=1), A[:, first:].sum(axis=1)], axis=1)
-    expected = np.repeat(rs.matrix, [first, second], axis=0)
+    expected = np.repeat(rs, [first, second], axis=0)
     sums_dev = float((np.abs(sums - expected) / expected).max())
     if not max(cross_dev, sums_dev) <= REDUCTION_RTOL:
         raise CertificationError(
@@ -357,9 +325,9 @@ def certify_singular(
             f"cross distances {cross_dev:.3e}, of row block sums {sums_dev:.3e}, "
             f"limit {REDUCTION_RTOL:g}"
         )
-    lam, mu = rs.kernel_coefficients()
+    (a, b), (c, d) = rs
+    lam, mu = np.array([b, -a]) / np.linalg.norm([b, -a])
     v = np.concatenate([np.full(first, lam), np.full(second, mu)])
-    (a, b), (c, d) = rs.matrix
     sigma_max = float(0.5 * (a + d) + math.sqrt((0.5 * (a - d)) ** 2 + b * c))
     residual = float(np.linalg.norm(A @ v) / (sigma_max * np.linalg.norm(v)))
     passed = residual <= tol
@@ -367,7 +335,7 @@ def certify_singular(
         m=config.m,
         n=config.n,
         theta=config.theta,
-        p=config.p.p,
+        p=config.p,
         sigma_max=sigma_max,
         lam=float(lam),
         mu=float(mu),

@@ -204,11 +204,8 @@ PUBLIC_API = [
     "InputError",
     "Interpolant",
     "NotAndError",
-    "NotPsdError",
-    "PExponent",
     "PointSet",
     "RadialProfile",
-    "ReducedSystem",
     "RootResult",
     "SingularSystemError",
     "VerdictMismatchError",

@@ -8,14 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 from pnormdist import andmatrix
 from pnormdist.andmatrix import (
-    _psd_factor,
     check_and,
     det_sign_logmag,
     ldl_factor,
     restrict_to_zero_sum,
     schoenberg_embed,
 )
-from pnormdist.errors import NotAndError, NotPsdError
+from pnormdist.errors import NotAndError
 from pnormdist.geometry import build_distance_matrix, pow_abs
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -165,22 +164,38 @@ class TestCheckAnd:
 
 
 class TestPsdFactor:
+    """The factor P^T P = B' that schoenberg_embed takes of the zero-sum restriction B'.
+
+    Its vectors are the columns of P / sqrt(2), so 2 Y Y^T = B' for the first
+    n-1 embedding vectors Y.
+    """
+
     def test_identity(self):
-        P = _psd_factor(np.eye(4), 1e-10)
-        assert np.allclose(P.T @ P, np.eye(4), atol=1e-14)
+        # the standard basis of R^4 and the origin: B' = 2 I
+        A = np.full((5, 5), 2.0)
+        A[-1, :] = A[:, -1] = 1.0
+        np.fill_diagonal(A, 0.0)
+        assert np.array_equal(restrict_to_zero_sum(A), 2.0 * np.eye(4))
+        Y = schoenberg_embed(A).vectors[:4]
+        assert np.allclose(Y @ Y.T, np.eye(4), atol=1e-14)
 
     def test_scalar(self):
-        P = _psd_factor(np.array([[2.0]]), 1e-10)
-        assert abs(P[0, 0]) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        # two points at squared distance 2: B' = [[4]], P = [[2]]
+        emb = schoenberg_embed(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        assert abs(emb.vectors[0, 0]) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_rank_deficient_restriction(self):
-        B = restrict_to_zero_sum(UNIT_SQUARE_1NORM)
-        P = _psd_factor(B, 1e-10 * np.abs(UNIT_SQUARE_1NORM).max())
-        assert np.abs(P.T @ P - B).max() < 1e-12
+        # B' has eigenvalues {0, 2, 6}: the zero is clamped, not rejected
+        Y = schoenberg_embed(UNIT_SQUARE_1NORM).vectors[:3]
+        assert np.abs(2.0 * Y @ Y.T - UNIT_SQUARE_RESTRICTED).max() < 1e-12
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPsdError):
-            _psd_factor(np.diag([1.0, -1.0]), 1e-10)
+        # B' = diag(1, -1), so A is not AND
+        A = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, -0.5, 0.0]])
+        assert np.array_equal(restrict_to_zero_sum(A), np.diag([1.0, -1.0]))
+        with pytest.raises(NotAndError) as info:
+            schoenberg_embed(A)
+        assert info.value.record.verdict == "not-AND"
 
 
 class TestSchoenbergEmbed:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import pth_power_matrix
+from test_cli import assert_input_error
 
+from pnormdist import interpolation
 from pnormdist.errors import InputError
 from pnormdist.geometry import (
-    PExponent,
     PointSet,
     build_distance_matrix,
     pnorm,
@@ -18,7 +19,18 @@ from pnormdist.geometry import (
     write_matrix_csv,
     write_points_csv,
 )
-from pnormdist.profiles import multiquadric
+from pnormdist.interpolation import fit
+from pnormdist.profiles import matrix_from_profile, multiquadric
+from pnormdist.serialize import dumps
+from pnormdist.singular import (
+    bernstein_half,
+    cube_config,
+    find_theta,
+    phi,
+    psi,
+    psi_limit,
+    reduced_system,
+)
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 UNIT_SQUARE_1NORM = np.array(
@@ -43,14 +55,52 @@ class TestPExponent:
     def test_classification_flags(self):
         # quasi-norm below 1 (the triangle inequality fails), Euclidean at 2
         v, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert pnorm(v + w, PExponent(0.5)) > pnorm(v, PExponent(0.5)) + pnorm(w, PExponent(0.5))
-        assert pnorm(v + w, PExponent(1.0)) == pnorm(v, PExponent(1.0)) + pnorm(w, PExponent(1.0))
-        assert pnorm([3.0, 4.0], PExponent(2.0)) == 5.0
+        assert pnorm(v + w, 0.5) > pnorm(v, 0.5) + pnorm(w, 0.5)
+        assert pnorm(v + w, 1.0) == pnorm(v, 1.0) + pnorm(w, 1.0)
+        assert pnorm([3.0, 4.0], 2.0) == 5.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            PExponent(bad)
+    def test_rejects_nonpositive(self, bad, tmp_path, capsys):
+        # every public function that takes p, and every CLI command that passes --p on
+        square, values = np.array(UNIT_SQUARE), [1.0, 2.0, 3.0, 4.0]
+        saved = interpolation.to_json(fit(square, values, 1.5))
+        calls = {
+            "pnorm": lambda: pnorm([3.0, 4.0], bad),
+            "build_distance_matrix": lambda: build_distance_matrix(square, bad),
+            "bernstein_half": lambda: bernstein_half(3, bad),
+            "psi": lambda: psi(3, bad),
+            "psi_limit": lambda: psi_limit(bad),
+            "phi": lambda: phi(2, 2, bad),
+            "cube_config": lambda: cube_config(2, 2, 1.0, bad),
+            "reduced_system": lambda: reduced_system(2, 2, 1.0, bad),
+            "find_theta": lambda: find_theta(2, bad),
+            "fit": lambda: fit(square, values, bad),
+            "matrix_from_profile": lambda: matrix_from_profile(square, bad, multiquadric()),
+            "from_json": lambda: interpolation.from_json(
+                saved.replace('"p":1.5', f'"p":{dumps(bad)}')
+            ),
+        }
+
+        def rejects(call):
+            try:
+                call()
+            except ValueError as exc:
+                return "p must be a finite positive real" in str(exc)
+            return False
+
+        assert [name for name, call in calls.items() if not rejects(call)] == []
+
+        points, data = tmp_path / "square.csv", tmp_path / "data.csv"
+        points.write_text("".join(f"{x},{y}\n" for x, y in UNIT_SQUARE))
+        data.write_text("".join(f"{x},{y},{v}\n" for (x, y), v in zip(UNIT_SQUARE, values)))
+        out = str(tmp_path / "out")
+        for argv in (
+            ["distmat", str(points), "--out", out],
+            ["interp", str(data), "--query-file", str(points), "--out", out],
+            ["singular-config", "--n", "3", "--out-points", out, "--out-cert", out],
+        ):
+            err = assert_input_error(capsys, argv + ["--p", str(bad)])
+            assert "p must be a finite positive real" in err
 
 
 class TestPointSet:

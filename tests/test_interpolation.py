@@ -50,7 +50,7 @@ class TestFit:
     def test_unit_square_1norm_is_singular(self):
         with pytest.raises(SingularSystemError) as exc_info:
             fit(UNIT_SQUARE, [1.0, 0.0, 0.0, 0.0], 1.0)
-        report = exc_info.value.report
+        report = exc_info.value.record
         assert report is not None
         assert report.det_sign == 0
         assert report.verdict == "AND"
@@ -96,7 +96,7 @@ class TestEvaluate:
         s = interpolation.Interpolant(
             centers=pts,
             coefficients=np.zeros(4),
-            p=interpolation.as_pexponent(1.5),
+            p=1.5,
             profile=identity(),
             condition_estimate=1.0,
             guaranteed=False,
@@ -111,7 +111,8 @@ class TestEvaluate:
         # through the interpolant
         root = find_pn(2)
         cfg = cube_config(2, 2, 1.0, root.value)
-        lam, mu = reduced_system(2, 2, 1.0, root.value).kernel_coefficients()
+        (a, b), _ = reduced_system(2, 2, 1.0, root.value)
+        lam, mu = np.array([b, -a]) / np.linalg.norm([b, -a])
         coeffs = np.array([lam] * 4 + [mu] * 4)
         s = interpolation.Interpolant(
             centers=cfg.points,
@@ -143,7 +144,7 @@ class TestEvaluate:
         s = interpolation.Interpolant(
             centers=PointSet(centers),
             coefficients=coeffs,
-            p=interpolation.as_pexponent(p),
+            p=p,
             profile=profile,
             condition_estimate=1.0,
             guaranteed=False,

@@ -196,53 +196,74 @@ class TestCubeConfig:
             cube_config(12, 2, 1.0, 0.001)
 
 
+def scaled_det(m, n, theta, p):
+    """det(reduced_system(m, n, theta, p)) / 2^(m+n), from the 2x2 cofactors."""
+    (a, b), (c, d) = reduced_system(m, n, theta, p)
+    return (a * d - b * c) * 2.0 ** (-(m + n))
+
+
 class TestReducedSystem:
     def test_symmetric_when_equal_sides(self):
         rs = reduced_system(3, 3, 1.0, 2.5)
-        assert rs.matrix[0, 1] == rs.matrix[1, 0]
+        assert rs.shape == (2, 2)
+        assert rs[0, 1] == rs[1, 0]
 
     def test_hand_values_m2_n2_p2(self):
         rs = reduced_system(2, 2, 1.0, 2.0)
         diag = 2.0 * (1.0 + math.sqrt(2.0))
         off = 4.0 * math.sqrt(2.0)
-        assert np.allclose(rs.matrix, [[diag, off], [off, diag]], rtol=1e-15)
-        assert rs.det() == pytest.approx(8.0 * math.sqrt(2.0) - 20.0, rel=1e-14)
-        assert rs.scaled_det() == pytest.approx(phi(2, 2, 2.0), rel=1e-12)
+        assert np.allclose(rs, [[diag, off], [off, diag]], rtol=1e-15)
+        assert np.linalg.det(rs) == pytest.approx(8.0 * math.sqrt(2.0) - 20.0, rel=1e-14)
+        assert scaled_det(2, 2, 1.0, 2.0) == pytest.approx(phi(2, 2, 2.0), rel=1e-12)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 2), (5, 5)])
     def test_scaled_det_equals_phi(self, m, n):
         for p in (2.2, 2.8, 3.5):
-            rs = reduced_system(m, n, 1.0, p)
-            assert rs.scaled_det() == pytest.approx(phi(m, n, p), rel=1e-12, abs=1e-13)
+            assert scaled_det(m, n, 1.0, p) == pytest.approx(phi(m, n, p), rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_scaled_det_equals_phi_scaled(self, n):
         for theta in (0.3, 0.75, 1.0):
             for p in (2.3, 3.0):
-                rs = reduced_system(n, n, theta, p)
-                assert rs.scaled_det() == pytest.approx(
+                assert scaled_det(n, n, theta, p) == pytest.approx(
                     phi(n, n, p, theta), rel=1e-12, abs=1e-13
                 )
 
     def test_general_theta_reduction_faithfulness(self):
         # m != n with theta != 1: scaled determinant matches the analytic form
         for m, n, theta, p in [(2, 3, 0.6, 2.7), (3, 4, 0.9, 3.2)]:
-            rs = reduced_system(m, n, theta, p)
             expected = 4.0 * theta * bernstein_half(m, p) * bernstein_half(n, p) - (
                 1.0 + theta**p
             ) ** (2.0 / p)
-            assert rs.scaled_det() == pytest.approx(expected, rel=1e-12)
+            assert scaled_det(m, n, theta, p) == pytest.approx(expected, rel=1e-12)
 
     def test_theta_to_zero_limit_is_negative(self):
         # scaled determinant tends to -(1+0)^(2/p) = -1
         for n in (2, 4):
-            val = reduced_system(n, n, 1e-9, 3.0).scaled_det()
-            assert val == pytest.approx(-1.0, abs=1e-6)
+            assert scaled_det(n, n, 1e-9, 3.0) == pytest.approx(-1.0, abs=1e-6)
 
     def test_kernel_solves_system(self):
+        # the null vector certify_singular spreads over the cubes: (b, -a) / ||(b, -a)||
         rs = reduced_system(2, 2, 1.0, find_pn(2).value)
-        lam, mu = rs.kernel_coefficients()
-        assert np.abs(rs.matrix @ np.array([lam, mu])).max() < 1e-12
+        (a, b), _ = rs
+        assert np.abs(rs @ (np.array([b, -a]) / np.linalg.norm([b, -a]))).max() < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: phi(2, 2, 3.0, t),
+        lambda t: reduced_system(2, 2, t, 3.0),
+        lambda t: cube_config(2, 2, t, 3.0),
+    ],
+    ids=["phi", "reduced_system", "cube_config"],
+)
+def test_theta_must_be_finite_and_positive(call, theta):
+    # nan and inf get past a `theta <= 0` test, into nan/inf results or an
+    # error about an underflowing half-width
+    with pytest.raises(ValueError, match="theta must be a finite positive real"):
+        call(theta)
 
 
 class TestFindPn:
@@ -433,7 +454,7 @@ class TestCertification:
         # the identities behind reduced_system, on every entry and row of A
         cfg = cube_config(m, n, theta, p)
         A = build_distance_matrix(cfg.points, p).entries
-        rs = reduced_system(m, n, theta, p).matrix
+        rs = reduced_system(m, n, theta, p)
         f = cfg.first_count
         cross = (1.0 + theta**p) ** (1.0 / p)
         assert np.abs(A[:f, f:] - cross).max() <= 1e-12 * cross
