@@ -57,6 +57,8 @@ class Interpolant:
             raise ValueError(
                 f"queries must have shape (k, {self.centers.d}), got {queries.shape}"
             )
+        if not np.isfinite(queries).all():
+            raise ValueError("queries must have finite coordinates")
         out = np.empty(queries.shape[0])
         for start, stop, sums in power_sum_blocks(queries, self.centers.points, self.p):
             vals = self.profile.apply_to_power_sums(sums, self.p)

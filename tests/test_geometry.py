@@ -14,6 +14,8 @@ from pnormdist.geometry import (
     PointSet,
     build_distance_matrix,
     pnorm,
+    pow_abs,
+    power_sum_blocks,
     read_matrix_csv,
     read_points_csv,
     write_matrix_csv,
@@ -263,6 +265,50 @@ class TestBuildDistanceMatrix:
         finally:
             tracemalloc.stop()
         assert peak < dm.entries.nbytes + 16 * 2**20
+
+
+class TestPowerSumBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        m=st.integers(1, 60),
+        d=st.integers(1, 300),
+        p=st.floats(0.5, 4.0, exclude_min=True),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the sum over coordinates is sequential below d = 8, runs on eight
+    # accumulators up to d = 128 and splits in two beyond
+    @example(n=5, m=4, d=7, p=1.5, grid=False, seed=0)
+    @example(n=5, m=4, d=8, p=1.5, grid=False, seed=0)
+    @example(n=5, m=4, d=9, p=0.7, grid=True, seed=1)
+    @example(n=6, m=7, d=16, p=3.0, grid=False, seed=2)
+    @example(n=9, m=9, d=18, p=2.25, grid=True, seed=3)
+    @example(n=4, m=3, d=128, p=1.25, grid=False, seed=4)
+    @example(n=25, m=50, d=129, p=1.75, grid=False, seed=5)  # 3 blocks, last partial
+    @example(n=23, m=60, d=200, p=1.5, grid=False, seed=6)  # 5 blocks, last partial
+    def test_bitwise_equal_to_coordinate_last_sum(self, n, m, d, p, grid, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(k):
+            if grid:  # coincident coordinates give zero differences
+                return rng.integers(-2, 3, (k, d)).astype(float)
+            return rng.standard_normal((k, d))
+
+        a, b = draw(n), draw(m)
+        expected = pow_abs(a[:, None, :] - b[None, :, :], p).sum(axis=-1)
+        blocks = list(power_sum_blocks(a, b, p))
+        assert [start for start, _, _ in blocks] == [0] + [stop for _, stop, _ in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert np.array_equal(np.vstack([sums for _, _, sums in blocks]), expected)
+
+        expected = pow_abs(a[:, None, :] - a[None, :, :], p).sum(axis=-1)
+        iu, ju = np.triu_indices(n)
+        upper = np.zeros((n, n))
+        for start, stop, sums in power_sum_blocks(a, None, p):
+            assert sums.shape == (stop - start, n - start)
+            upper[start:stop, start:] = sums
+        assert np.array_equal(upper[iu, ju], expected[iu, ju])
 
 
 class TestCsv:

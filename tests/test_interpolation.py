@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from pnormdist import interpolation
 from pnormdist.errors import SingularSystemError
-from pnormdist.geometry import PointSet, pow_abs
+from pnormdist.geometry import BLOCK_BYTES, PointSet, pow_abs
 from pnormdist.interpolation import evaluate_interpolant, fit
 from pnormdist.profiles import identity, multiquadric
 from pnormdist.singular import cube_config, find_pn, reduced_system
@@ -159,6 +162,37 @@ class TestEvaluate:
         s = fit([[0.0], [1.0]], [0.0, 1.0], 1.5)
         with pytest.raises(ValueError, match="shape"):
             s(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_queries_rejected(self, bad):
+        s = fit([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.0, 1.0], 1.5)
+        with pytest.raises(ValueError, match="^queries must have finite coordinates$"):
+            s.evaluate_many([[bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^queries must have finite coordinates$"):
+            s.evaluate_many([[0.5, 0.5, 0.5], [0.0, 0.0, bad]])
+        with pytest.raises(ValueError, match="^queries must have finite coordinates$"):
+            s([bad, 0.0, 0.0])
+
+    def test_peak_memory_is_output_plus_blocks(self):
+        rng = np.random.default_rng(37)
+        s = interpolation.Interpolant(
+            centers=PointSet(rng.random((400, 3))),
+            coefficients=rng.standard_normal(400),
+            p=1.5,
+            profile=multiquadric(),
+            condition_estimate=1.0,
+            guaranteed=False,
+        )
+        queries = rng.random((40_000, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = s.evaluate_many(queries)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the full 40 000 x 400 sums matrix would be 122 MiB
+        assert peak < out.nbytes + 4 * BLOCK_BYTES
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(35)
