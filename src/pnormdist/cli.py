@@ -124,6 +124,8 @@ def cmd_embed(args) -> int:
 def cmd_find_pn(args) -> int:
     if args.n_min < 2:
         raise InputError(f"--n-min must be >= 2, got {args.n_min}")
+    if args.n_max < args.n_min:
+        raise InputError(f"--n-max ({args.n_max}) must be >= --n-min ({args.n_min})")
     ns = range(args.n_min, args.n_max + 1)
     rows = singular.rate_table(ns)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,12 +1,14 @@
 """Radial basis function interpolation with p-norm distance matrices.
 
 Fit solves A lambda = f with A_ij = profile(||x^i - x^j||_p) and evaluates
-s(x) = sum_i lambda_i profile(||x - x^i||_p). For the identity profile and
-p in (1, 2] the system is provably nonsingular on distinct points (the
-matrix is strictly AND with one positive and n-1 negative eigenvalues), so
-a solve failure there is a numerical breakdown; other (p, profile) pairs
-are permitted but carry no guarantee, and a singular system raises with the
-matrix's AND report attached.
+s(x) = sum_i lambda_i profile(||x - x^i||_p). The centres must be distinct:
+two equal centres make two equal rows of A. The guarantee comes from the
+profile catalog: A is provably nonsingular when the catalog predicts it
+strictly AND and profile(0) >= 0 (a strictly AND matrix with non-negative
+trace has one positive and n-1 negative eigenvalues), or when it predicts
+A positive definite. A solve failure there is a numerical breakdown; other
+(p, profile) pairs are permitted but carry no guarantee, and a singular
+system raises with the matrix's AND report attached.
 
 The solver is the one Bunch-Kaufman LDL^T factorization of
 `andmatrix.ldl_factor` (the matrix is not positive definite, so plain
@@ -79,6 +81,9 @@ def fit(
     """Solve the interpolation system and return an evaluable interpolant.
 
     The relative residual ||A lambda - f|| / ||f|| must come out below tol.
+    Coincident centres raise ValueError naming the first pair (1-based
+    rows). `guaranteed` is the module's single rule: the catalog predicts
+    a strictly AND matrix with profile(0) >= 0, or a positive definite one.
     """
     pts = as_point_set(x)
     p = finite_positive(p)
@@ -89,13 +94,15 @@ def fit(
         raise ValueError(f"data must have shape ({pts.n},), got {f.shape}")
     if not np.isfinite(f).all():
         raise ValueError("data values must be finite")
-    guaranteed = (
-        profile.kind == "identity"
-        and profile.input_convention == prof.DISTANCE
-        and 1.0 < p <= 2.0
-        and pts.n >= 2
-        and pts.is_distinct()
-    )
+    if not pts.is_distinct():
+        i, j = _first_coincident_pair(pts.points)
+        raise ValueError(
+            f"centres in rows {i} and {j} coincide; equal centres make equal rows of the "
+            "interpolation matrix, which no profile or p can fit"
+        )
+    verdict, _ = prof.predict_verdict(profile, p, pts.n, True)
+    positive_definite, _ = prof.predict_positive_definite(profile, p, pts.n, True)
+    guaranteed = (verdict == "strictly-AND" and profile(0.0) >= 0.0) or positive_definite is True
 
     if pts.n == 1:
         phi0 = profile(0.0)
@@ -105,7 +112,7 @@ def fit(
                     "1x1 system with profile(0) = 0 cannot match nonzero data"
                 )
             return Interpolant(pts, np.zeros(1), p, profile, float("inf"), False)
-        return Interpolant(pts, f / phi0, p, profile, 1.0, False)
+        return Interpolant(pts, f / phi0, p, profile, 1.0, guaranteed)
 
     A = build_distance_matrix(pts, p, profile).entries
     lu, ipiv, _ = ldl_factor(A)
@@ -125,7 +132,7 @@ def fit(
     if guaranteed:
         raise CertificationError(
             f"numerical breakdown: the system is provably nonsingular for p={p} "
-            f"with the identity profile, yet the solve residual is {residual:.3e}"
+            f"with profile {profile.describe()}, yet the solve residual is {residual:.3e}"
         )
     report = check_and(A)
     raise SingularSystemError(
@@ -134,6 +141,15 @@ def fit(
         f"no solvability guarantee for p={p} with profile {profile.describe()}",
         record=report,
     )
+
+
+def _first_coincident_pair(points: np.ndarray):
+    """1-based rows (i, j) of the first centre j that repeats an earlier centre i."""
+    seen: dict = {}
+    for j, row in enumerate(map(tuple, points.tolist())):
+        i = seen.setdefault(row, j)
+        if i != j:
+            return i + 1, j + 1
 
 
 def evaluate_interpolant(s: Interpolant, query) -> float:

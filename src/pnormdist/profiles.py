@@ -2,20 +2,21 @@
 
 A profile f is CND1 (conditionally negative definite of order 1) when
 f(|x^i - x^j|^2) is always an AND matrix, and strictly CND1 when that matrix
-is strictly AND for distinct points. The shipped catalog and its class flags
-are established facts (Micchelli's completely-monotonic-derivative criterion
-and Schoenberg's theory), stored rather than re-proved at runtime:
+is strictly AND for distinct points. Each profile stores one class, its
+`family`: STRICTLY_CND1, CND1, POSITIVE_DEFINITE (strictly, for distinct
+points) or None. The shipped catalog's families are established facts
+(Micchelli's completely-monotonic-derivative criterion and Schoenberg's
+theory), stored rather than re-proved at runtime:
 
     identity        t          CND1 (not strictly; f' is constant)
     power(tau)      t^tau      strictly CND1 for tau in (0, 1)
     multiquadric    (1+t)^1/2  strictly CND1
-    exponential     e^-t       strictly positive definite (not CND1)
+    exponential     e^-t       positive definite (not CND1)
 
-Compositions inherit flags by the composition rule: g o f is CND1 when g and
-f are CND1 and f(0) = 0, strictly CND1 when additionally g is strictly CND1
-and f vanishes only at 0. A positive definite g composed over a CND1 f with
-f(0) = 0 stays positive definite (strictly, for f vanishing only at 0),
-because f's matrix embeds as squared Euclidean distances.
+Compositions follow one rule: g o f takes g's family when f is CND1 and
+f(0) = 0, and has no family otherwise. Every catalog profile vanishes only
+at 0, so f's matrix embeds as squared Euclidean distances between distinct
+points, and g keeps its class (and its strictness) over them.
 
 Three input conventions are in play and silent mismatch is the main hazard,
 so each profile records explicitly whether it consumes the distance r, the
@@ -40,30 +41,29 @@ PTH_POWER_DISTANCE = "p-th-power-distance"
 
 _CONVENTIONS = (DISTANCE, SQUARED_DISTANCE, PTH_POWER_DISTANCE)
 
+STRICTLY_CND1 = "strictly-cnd1"
+CND1 = "cnd1"
+POSITIVE_DEFINITE = "positive-definite"
 
-@dataclass(frozen=True)
-class ClassFlags:
-    cnd1: bool = False
-    strictly_cnd1: bool = False
-    positive_definite: bool = False
-    strictly_positive_definite: bool = False
-    vanishes_only_at_zero: bool = False
+_FAMILIES = (STRICTLY_CND1, CND1, POSITIVE_DEFINITE, None)
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Immutable descriptor of a scalar radial map plus its class flags."""
+    """Immutable descriptor of a scalar radial map plus its class (`family`)."""
 
     kind: str
     tau: Optional[float] = None
     outer: Optional["RadialProfile"] = None
     inner: Optional["RadialProfile"] = None
     input_convention: str = DISTANCE
-    flags: ClassFlags = ClassFlags()
+    family: Optional[str] = None
 
     def __post_init__(self):
         if self.input_convention not in _CONVENTIONS:
             raise ValueError(f"unknown input convention: {self.input_convention!r}")
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown profile family: {self.family!r}")
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -88,81 +88,44 @@ class RadialProfile:
 
 
 def identity(convention: str = DISTANCE) -> RadialProfile:
-    return RadialProfile(
-        kind="identity",
-        input_convention=convention,
-        flags=ClassFlags(cnd1=True, vanishes_only_at_zero=True),
-    )
+    return RadialProfile(kind="identity", input_convention=convention, family=CND1)
 
 
 def power(tau: float, convention: str = DISTANCE) -> RadialProfile:
-    """t -> t^tau. Carries the CND1 flags only for tau in (0, 1).
+    """t -> t^tau. CND1 only for tau in (0, 1], strictly below 1.
 
-    tau >= 1 is accepted but earns no flags beyond tau = 1, which is the
-    identity in disguise.
+    tau > 1 is accepted but has no family.
     """
     tau = float(tau)
     if not np.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"power exponent must be positive, got {tau!r}")
-    if tau < 1.0:
-        flags = ClassFlags(cnd1=True, strictly_cnd1=True, vanishes_only_at_zero=True)
-    elif tau == 1.0:
-        flags = ClassFlags(cnd1=True, vanishes_only_at_zero=True)
-    else:
-        flags = ClassFlags(vanishes_only_at_zero=True)
-    return RadialProfile(kind="power", tau=tau, input_convention=convention, flags=flags)
+    family = STRICTLY_CND1 if tau < 1.0 else CND1 if tau == 1.0 else None
+    return RadialProfile(kind="power", tau=tau, input_convention=convention, family=family)
 
 
 def multiquadric(convention: str = DISTANCE) -> RadialProfile:
-    return RadialProfile(
-        kind="multiquadric",
-        input_convention=convention,
-        flags=ClassFlags(cnd1=True, strictly_cnd1=True, vanishes_only_at_zero=True),
-    )
+    return RadialProfile(kind="multiquadric", input_convention=convention, family=STRICTLY_CND1)
 
 
 def exponential(convention: str = DISTANCE) -> RadialProfile:
-    return RadialProfile(
-        kind="exponential",
-        input_convention=convention,
-        flags=ClassFlags(
-            positive_definite=True,
-            strictly_positive_definite=True,
-            vanishes_only_at_zero=True,
-        ),
-    )
+    return RadialProfile(kind="exponential", input_convention=convention, family=POSITIVE_DEFINITE)
 
 
 def compose(
     outer: RadialProfile, inner: RadialProfile, convention: Optional[str] = None
 ) -> RadialProfile:
-    """outer o inner, with class flags derived from the composition rule.
+    """outer o inner, whose family follows the composition rule.
 
-    Flags are never upgraded beyond what the rule grants; unprovable flags
-    are simply False.
+    It takes outer's family when inner is CND1 (strictly or not) and
+    inner(0) = 0, and has no family otherwise.
     """
-    inner_at_zero = evaluate(inner, 0.0)
-    cnd1 = outer.flags.cnd1 and inner.flags.cnd1 and inner_at_zero == 0.0
-    strictly_cnd1 = cnd1 and outer.flags.strictly_cnd1 and inner.flags.vanishes_only_at_zero
-    pd = outer.flags.positive_definite and inner.flags.cnd1 and inner_at_zero == 0.0
-    strictly_pd = (
-        pd and outer.flags.strictly_positive_definite and inner.flags.vanishes_only_at_zero
-    )
-    flags = ClassFlags(
-        cnd1=cnd1,
-        strictly_cnd1=strictly_cnd1,
-        positive_definite=pd,
-        strictly_positive_definite=strictly_pd,
-        vanishes_only_at_zero=(
-            outer.flags.vanishes_only_at_zero and inner.flags.vanishes_only_at_zero
-        ),
-    )
+    keeps = inner.family in (CND1, STRICTLY_CND1) and evaluate(inner, 0.0) == 0.0
     return RadialProfile(
         kind="composition",
         outer=outer,
         inner=inner,
         input_convention=inner.input_convention if convention is None else convention,
-        flags=flags,
+        family=outer.family if keeps else None,
     )
 
 
@@ -235,21 +198,23 @@ def predict_verdict(profile: RadialProfile, p: float, n: int, distinct: bool):
         if base == "strict" and distinct and n >= 2:
             return "strictly-AND", source
         return "AND", source
-    if profile.flags.cnd1:
-        if profile.flags.strictly_cnd1 and distinct and n >= 2:
-            return "strictly-AND", f"strictly CND1 profile over {source}"
+    if profile.family == STRICTLY_CND1 and distinct and n >= 2:
+        return "strictly-AND", f"strictly CND1 profile over {source}"
+    if profile.family in (CND1, STRICTLY_CND1):
         return "AND", f"CND1 profile over {source}"
     return None, f"profile carries no CND1 flag over {source}"
 
 
 def predict_positive_definite(profile: RadialProfile, p: float, n: int, distinct: bool):
-    """True when the matrix is guaranteed positive definite, else None."""
+    """True when the matrix is guaranteed positive definite, else None.
+
+    Returns (True or None, source): a positive definite profile over a
+    guaranteed base matrix, on distinct points.
+    """
     base, source = _base_matrix_class(profile.input_convention, geometry.finite_positive(p))
-    if base is None or not profile.flags.strictly_positive_definite:
+    if base is None or profile.family != POSITIVE_DEFINITE or not distinct or n < 1:
         return None, source
-    if distinct and n >= 1:
-        return True, f"strictly positive definite profile over {source}"
-    return None, source
+    return True, f"strictly positive definite profile over {source}"
 
 
 @dataclass(frozen=True)
@@ -282,7 +247,7 @@ def matrix_from_profile(
     predicted, source = predict_verdict(profile, p, pts.n, distinct)
     predicted_pd, pd_source = predict_positive_definite(profile, p, pts.n, distinct)
     min_eig = None
-    if profile.flags.positive_definite:
+    if profile.family == POSITIVE_DEFINITE:
         min_eig = float(np.linalg.eigvalsh(dm.entries).min())
     result = ProfileMatrixResult(
         matrix=dm,

@@ -251,10 +251,12 @@ class TestFindPn:
         assert len(vals) == 4
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_empty_range_header_only(self, tmp_path):
+    def test_empty_range_exit_2(self, tmp_path, capsys):
         out = tmp_path / "pn.csv"
-        assert main(["find-pn", "--n-min", "4", "--n-max", "3", "--out", str(out)]) == 0
-        assert out.read_text() == "n,p_n,rate\n"
+        argv = ["find-pn", "--n-min", "4", "--n-max", "3", "--out", str(out)]
+        err = assert_input_error(capsys, argv)
+        assert "--n-max (3) must be >= --n-min (4)" in err
+        assert not out.exists()
 
     def test_json_output_matches_csv(self, tmp_path):
         out, jout = tmp_path / "pn.csv", tmp_path / "pn.json"
@@ -364,6 +366,16 @@ class TestInterp:
         rc = main(["interp", str(data), "--p", "1", "--query-file", str(queries), "--out", str(out)])
         assert rc == 3
         assert "singular" in capsys.readouterr().err.lower()
+
+    def test_coincident_centres_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,0.5,1\n0.5,0.5,2\n1,0,0\n")
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5,0.5\n")
+        argv = ["interp", str(data), "--p", "1.5", "--query-file", str(queries),
+                "--out", str(tmp_path / "vals.csv")]
+        err = assert_input_error(capsys, argv)
+        assert "centres in rows 1 and 2 coincide" in err
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         data = tmp_path / "data.csv"

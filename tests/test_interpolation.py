@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,13 +8,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnormdist import interpolation
-from pnormdist.errors import SingularSystemError
-from pnormdist.geometry import BLOCK_BYTES, PointSet, pow_abs
+from pnormdist.andmatrix import ldl_factor
+from pnormdist.errors import CertificationError, SingularSystemError
+from pnormdist.geometry import BLOCK_BYTES, PointSet, build_distance_matrix, pow_abs
 from pnormdist.interpolation import evaluate_interpolant, fit
-from pnormdist.profiles import identity, multiquadric
+from pnormdist.profiles import (
+    DISTANCE,
+    POSITIVE_DEFINITE,
+    PTH_POWER_DISTANCE,
+    SQUARED_DISTANCE,
+    compose,
+    exponential,
+    identity,
+    multiquadric,
+    power,
+)
 from pnormdist.singular import cube_config, find_pn, reduced_system
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+LEAVES = [
+    make(convention)
+    for make in (identity, multiquadric, exponential, *(partial(power, tau) for tau in (0.5, 1, 2)))
+    for convention in (DISTANCE, SQUARED_DISTANCE, PTH_POWER_DISTANCE)
+]
+# every catalog leaf and every depth-1 composition of two leaves
+CATALOG = LEAVES + [compose(outer, inner) for outer in LEAVES for inner in LEAVES]
 
 
 class TestFit:
@@ -77,12 +97,73 @@ class TestFit:
             rep = check_and(build_distance_matrix(x, p).entries)
             assert rep.det_sign == (-1) ** (n - 1)
 
+    @pytest.mark.parametrize(
+        "rows, pair",
+        [
+            ([[0.0, 1.0], [0.0, 1.0], [2.0, 0.0]], (1, 2)),
+            ([[0.0, 0.0], [1.0, 0.0], [2.0, 2.0], [1.0, 0.0], [0.0, 0.0]], (2, 4)),
+            ([[0.0, 0.0], [1.0, -0.0], [1.0, 0.0]], (2, 3)),
+        ],
+    )
+    def test_coincident_centres_named(self, rows, pair):
+        # equal centres make two equal rows of A, so no profile and no p can fit
+        data = np.arange(len(rows), dtype=float)
+        for p, profile in ((1.5, identity()), (1.0, multiquadric()), (3.0, identity())):
+            with pytest.raises(ValueError, match=r"^centres in rows %d and %d coincide" % pair):
+                fit(rows, data, p, profile)
+
     def test_no_guarantee_flag_outside_regime(self):
         rng = np.random.default_rng(33)
         x = rng.random((6, 2))
         f = rng.standard_normal(6)
         s = fit(x, f, 3.0)
         assert not s.guaranteed
+
+
+class TestGuarantee:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize(
+        "profile",
+        [multiquadric(), power(0.5), exponential(), compose(exponential(), power(0.5))],
+        ids=lambda profile: profile.describe(),
+    )
+    def test_catalog_guarantee_beyond_identity(self, profile, p):
+        rng = np.random.default_rng(38)
+        assert fit(rng.random((12, 3)), rng.standard_normal(12), p, profile).guaranteed
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        profile=st.sampled_from(CATALOG),
+        p=st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0, 3.0]),
+        cells=st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(0, 20)] * d), min_size=2, max_size=10, unique=True
+            )
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # squared distances of 4 collinear points: AND, yet of rank 3
+    @example(profile=identity(PTH_POWER_DISTANCE), p=2.0, cells=[(0,), (1,), (2,), (3,)], seed=0)
+    def test_guarantee_shows_predicted_inertia(self, profile, p, cells, seed):
+        # distinct points of the 0.05 lattice in the unit cube are at least
+        # 0.05 apart in every p-norm
+        x = 0.05 * np.array(cells, dtype=float)
+        n = x.shape[0]
+        f = np.random.default_rng(seed).standard_normal(n)
+        try:
+            guaranteed = fit(x, f, p, profile).guaranteed
+        except SingularSystemError:
+            return  # raised only where no guarantee holds
+        except CertificationError:
+            guaranteed = True  # a numerical breakdown of a system proven nonsingular
+        if not guaranteed:
+            return
+        pivots = np.array(ldl_factor(build_distance_matrix(x, p, profile).entries)[2])
+        inertia = (int((pivots > 0).sum()), int((pivots < 0).sum()))
+        if profile.family == POSITIVE_DEFINITE:
+            assert inertia == (n, 0)
+        else:
+            assert inertia == (1, n - 1)
 
 
 class TestEvaluate:

@@ -5,9 +5,12 @@ from pnormdist import profiles
 from pnormdist.errors import VerdictMismatchError
 from pnormdist.geometry import build_distance_matrix, pow_abs
 from pnormdist.profiles import (
+    CND1,
     DISTANCE,
+    POSITIVE_DEFINITE,
     PTH_POWER_DISTANCE,
     SQUARED_DISTANCE,
+    STRICTLY_CND1,
     compose,
     evaluate,
     exponential,
@@ -49,60 +52,33 @@ class TestEvaluate:
             assert evaluate(left, t) == pytest.approx(evaluate(right, t), rel=1e-15)
 
 
-class TestFlags:
-    def test_power_in_unit_interval_is_strictly_cnd1(self):
-        f = power(0.5)
-        assert f.flags.cnd1 and f.flags.strictly_cnd1 and f.flags.vanishes_only_at_zero
-
-    def test_power_one_is_identity_like(self):
-        f = power(1.0)
-        assert f.flags.cnd1 and not f.flags.strictly_cnd1
-
-    def test_power_above_one_carries_no_cnd1_flags(self):
-        f = power(2.0)
-        assert not f.flags.cnd1 and not f.flags.strictly_cnd1
-
-    def test_multiquadric_strictly_cnd1(self):
-        assert multiquadric().flags.strictly_cnd1
-
-    def test_exponential_positive_definite_only(self):
-        f = exponential()
-        assert f.flags.strictly_positive_definite and not f.flags.cnd1
-
-    def test_composition_of_strict_powers_is_strictly_cnd1(self):
-        comp = compose(power(0.6), power(0.7))
-        assert comp.flags.strictly_cnd1
-
-    def test_exponential_over_identity_is_positive_definite(self):
-        comp = compose(exponential(), identity())
-        assert comp.flags.strictly_positive_definite and not comp.flags.cnd1
-
-    def test_multiquadric_over_identity_is_strictly_cnd1(self):
-        comp = compose(multiquadric(), identity())
-        assert comp.flags.strictly_cnd1
-
-    def test_inner_with_nonzero_value_at_zero_blocks_cnd1(self):
-        # multiquadric(0) = 1 != 0, so composing over it grants nothing
-        comp = compose(power(0.5), multiquadric())
-        assert not comp.flags.cnd1
+# (profile, family): each row one catalog fact of the completely-monotonic-
+# derivative criterion or the composition rule
+CATALOG = [
+    pytest.param(identity(), CND1, id="identity"),
+    pytest.param(power(0.5), STRICTLY_CND1, id="power-half"),
+    pytest.param(power(1.0), CND1, id="power-one"),
+    # f(t) = t^2 has a non-decreasing derivative, so it is not CND1
+    pytest.param(power(2.0), None, id="power-two"),
+    pytest.param(multiquadric(), STRICTLY_CND1, id="multiquadric"),
+    # e^-t is positive definite, outside the CND1 class the criterion decides
+    pytest.param(exponential(), POSITIVE_DEFINITE, id="exponential"),
+    pytest.param(compose(power(0.6), power(0.7)), STRICTLY_CND1, id="power-o-power"),
+    pytest.param(compose(exponential(), identity()), POSITIVE_DEFINITE, id="exp-o-identity"),
+    pytest.param(compose(multiquadric(), identity()), STRICTLY_CND1, id="multiquadric-o-identity"),
+    # multiquadric(0) = 1 != 0, so composing over it grants nothing
+    pytest.param(compose(power(0.5), multiquadric()), None, id="power-o-multiquadric"),
+]
 
 
-class TestSpotcheck:
-    """Catalog flags that the completely-monotonic-derivative criterion backs."""
+class TestFamily:
+    @pytest.mark.parametrize("profile, family", CATALOG)
+    def test_catalog_family(self, profile, family):
+        assert profile.family == family
 
-    def test_power_half_passes(self):
-        assert power(0.5).flags.cnd1 and power(0.5).flags.strictly_cnd1
-
-    def test_multiquadric_passes(self):
-        assert multiquadric().flags.cnd1 and multiquadric().flags.strictly_cnd1
-
-    def test_squared_profile_fails(self):
-        # f(t) = t^2 has a non-decreasing derivative, so it is not CND1
-        assert not power(2.0).flags.cnd1 and not power(2.0).flags.strictly_cnd1
-
-    def test_unsupported_profile_rejected(self):
-        # e^-t is positive definite, outside the CND1 class the criterion decides
-        assert not exponential().flags.cnd1 and exponential().flags.positive_definite
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown profile family"):
+            profiles.RadialProfile(kind="identity", family="cnd-1")
 
 
 class TestPrediction:
@@ -199,15 +175,13 @@ class TestMatrixFromProfile:
         assert res2.min_eigenvalue > 0.0
 
     def test_mismatch_raises(self):
-        # a doctored profile claiming CND1 flags it does not have: the
+        # a doctored profile claiming a CND1 family it does not have: the
         # exponential matrix is positive definite, hence not AND, so the
         # observed verdict contradicts the (false) prediction
         rng = np.random.default_rng(26)
         x = rng.standard_normal((4, 2))
         bad = profiles.RadialProfile(
-            kind="exponential",
-            input_convention=DISTANCE,
-            flags=profiles.ClassFlags(cnd1=True, strictly_cnd1=True, vanishes_only_at_zero=True),
+            kind="exponential", input_convention=DISTANCE, family=STRICTLY_CND1
         )
         with pytest.raises(VerdictMismatchError):
             matrix_from_profile(x, 1.5, bad)
