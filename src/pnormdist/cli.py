@@ -177,7 +177,7 @@ def cmd_interp(args) -> int:
         )
     out_vals = interp.evaluate_many(queries)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for v in out_vals:
+        for v in out_vals.tolist():
             fh.write(fmt_float(v) + "\n")
     fit_residual = float(np.max(np.abs(interp.evaluate_many(centers) - values)))
     print(
@@ -201,17 +201,19 @@ def cmd_scan_psi(args) -> int:
     if not ns or any(n < 1 for n in ns):
         raise InputError("--n needs at least one integer >= 1")
     grid = _parse_grid(args.p_grid)
-    rows = [(float(p), [singular.psi(n, float(p)) for n in ns]) for p in grid]
+    rows = []
+    if len(grid):  # an empty grid evaluates nothing, so it checks no degree either
+        rows = np.column_stack([grid] + [singular.psi(n, grid) for n in ns]).tolist()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("p," + ",".join(f"psi_{n}" for n in ns) + "\n")
-        for p, vals in rows:
-            fh.write(fmt_float(p) + "," + ",".join(fmt_float(v) for v in vals) + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt_float, row)) + "\n")
     if args.json_out:
         serialize.write_json(
             args.json_out,
             [
                 {"p": p, **{f"psi_{n}": v for n, v in zip(ns, vals)}}
-                for p, vals in rows
+                for p, *vals in rows
             ],
         )
     return EXIT_OK

@@ -284,7 +284,7 @@ def write_points_csv(path, points: PointsLike) -> None:
     pts = as_point_set(points)
     with open(path, "w", encoding="utf-8") as fh:
         for row in pts.points:
-            fh.write(",".join(fmt_float(v) for v in row))
+            fh.write(",".join(map(fmt_float, row.tolist())))
             fh.write("\n")
 
 
@@ -301,5 +301,5 @@ def write_matrix_csv(path, matrix) -> None:
     arr = matrix.entries if isinstance(matrix, DistanceMatrix) else np.asarray(matrix, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         for row in np.atleast_2d(arr):
-            fh.write(",".join(fmt_float(v) for v in row))
+            fh.write(",".join(map(fmt_float, row.tolist())))
             fh.write("\n")

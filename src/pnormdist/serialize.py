@@ -7,19 +7,17 @@ it reproduces the bytes. Non-finite floats are emitted as the strings
 """
 
 import json
-import math
 
 import numpy as np
 
 
 def fmt_float(x) -> str:
-    """Format a float with 17 significant digits (exact double round trip)."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """Format a float with 17 significant digits (exact double round trip).
+
+    Python's format already writes every nan as "nan" and the infinities as
+    "inf" and "-inf".
+    """
+    return format(float(x), ".17g")
 
 
 def _emit(obj, out):

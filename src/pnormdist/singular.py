@@ -24,6 +24,10 @@ is singular exactly there; p_n decreases to 2 at rate O(1/n). For p between
 the roots, rescaling the second cube by a solved theta* < 1 restores
 singularity, which covers every p > 2.
 
+`bernstein_half` and `psi` take p as a float or as a 1-D array, the scan
+of a whole p grid; an array gives bit for bit the values of the float
+calls. Each degree's binomial and node rows are built once and cached.
+
 Root finding is plain bisection: monotonicity makes it certified-correct
 and no derivative is needed. `certify_singular` is the trust anchor for the
 2x2 reduction: on the full distance matrix it checks facts (i) and (ii)
@@ -35,37 +39,86 @@ is the Perron root of the 2x2 reduced matrix, so no SVD is taken.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificationError
-from .geometry import PointSet, build_distance_matrix, finite_positive
+from .geometry import BLOCK_BYTES, PointSet, build_distance_matrix, finite_positive
 
 MAX_BERNSTEIN_DEGREE = 50  # binomials C(k, j) stay exact in doubles through here
 MAX_CUBE_SIDE = 12  # cube pairs up to 2^12 + 2^12 points
 DEFAULT_CERT_TOL = 1e-8
 DEFAULT_CERT_SIDE_CAP = 5  # full matrices up to 2^5 + 2^5 = 64 points
 REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
+_SCALAR_POWER_SHORTCUTS = (0.5, 1.0, 2.0)  # exponents 1/p that np.power special-cases
 
 
-def bernstein_half(i: int, p: float) -> float:
+@functools.lru_cache(maxsize=None)
+def _bernstein_row(i: int) -> tuple:
+    """Binomials C(i, j) and nodes j/i for j = 1..i, built once per degree."""
+    if not 1 <= i <= MAX_BERNSTEIN_DEGREE:
+        raise ValueError(f"degree must be in [1, {MAX_BERNSTEIN_DEGREE}], got {i}")
+    binomials = np.array([math.comb(i, j) for j in range(1, i + 1)], dtype=float)
+    nodes = np.arange(1, i + 1) / i
+    binomials.flags.writeable = nodes.flags.writeable = False
+    return binomials, nodes
+
+
+def _finite_positive_grid(p: np.ndarray) -> np.ndarray:
+    """A 1-D p array as floats; raises `finite_positive`'s error for its first bad entry."""
+    ps = np.asarray(p, dtype=float)
+    if ps.ndim != 1:
+        raise ValueError(f"p must be a float or a 1-D array, got shape {ps.shape}")
+    bad = ~((ps > 0.0) & (ps < math.inf))
+    if bad.any():
+        finite_positive(ps[np.argmax(bad)])
+    return ps
+
+
+def bernstein_half(i: int, p):
     """Bernstein value of t -> t^(1/p) at t = 1/2, degree i in [1, MAX_BERNSTEIN_DEGREE].
 
     2^(-i) sum_{j=0}^{i} C(i,j) (j/i)^(1/p), with the j = 0 term defined as 0.
+    p is a float, giving a float, or a 1-D array, giving an array that equals
+    the float calls bit for bit: each row of (j/i)^(1/p) is summed in the
+    same order. The array is worked in chunks of rows of at most BLOCK_BYTES.
     """
-    if not 1 <= i <= MAX_BERNSTEIN_DEGREE:
-        raise ValueError(f"degree must be in [1, {MAX_BERNSTEIN_DEGREE}], got {i}")
-    q = finite_positive(p)
-    binomials = np.array([math.comb(i, j) for j in range(1, i + 1)], dtype=float)
-    return float(np.sum(binomials * np.power(np.arange(1, i + 1) / i, 1.0 / q))) * 2.0 ** (-i)
+    binomials, nodes = _bernstein_row(i)
+    if not isinstance(p, np.ndarray):
+        q = finite_positive(p)
+        return float(np.sum(binomials * np.power(nodes, 1.0 / q))) * 2.0 ** (-i)
+    ps = _finite_positive_grid(p)
+    sums = np.empty(len(ps))
+    rows = max(1, BLOCK_BYTES // (8 * i))
+    for start in range(0, len(ps), rows):
+        chunk = slice(start, start + rows)
+        with np.errstate(over="ignore"):  # 1/p is inf for subnormal p, as in float division
+            exponents = 1.0 / ps[chunk]
+        powers = np.power(nodes, exponents[:, None])
+        # np.power takes a shortcut (sqrt, copy, square) for one scalar exponent
+        # 0.5, 1 or 2, which a buffered broadcast may skip; such rows take it here
+        for k in np.flatnonzero(np.isin(exponents, _SCALAR_POWER_SHORTCUTS)):
+            powers[k] = np.power(nodes, exponents[k])
+        sums[chunk] = (binomials * powers).sum(axis=1)
+    return sums * 2.0 ** (-i)
 
 
-def psi(n: int, p: float) -> float:
-    """2 B_n - 2^(1/p): the factor of phi(n,n) whose root makes the pair singular."""
-    p = finite_positive(p)
-    return 2.0 * bernstein_half(n, p) - 2.0 ** (1.0 / p)
+def psi(n: int, p):
+    """2 B_n - 2^(1/p): the factor of phi(n,n) whose root makes the pair singular.
+
+    p is a float or a 1-D array, as in `bernstein_half`. The term 2^(1/p)
+    is a Python float power per element even for an array: numpy's array
+    `power` may use SIMD code that differs from libm's pow in the last bit,
+    while the (j/n)^(1/p) of `bernstein_half` is numpy's `power` either way.
+    """
+    if not isinstance(p, np.ndarray):
+        p = finite_positive(p)
+        return 2.0 * bernstein_half(n, p) - 2.0 ** (1.0 / p)
+    ps = _finite_positive_grid(p)
+    return 2.0 * bernstein_half(n, ps) - np.array([2.0 ** (1.0 / q) for q in ps.tolist()])
 
 
 def psi_limit(p: float) -> float:

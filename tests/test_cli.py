@@ -413,6 +413,22 @@ class TestScanPsi:
         assert rc == 0
         assert out.read_text() == "p,psi_1,psi_2\n"
 
+    def test_empty_grid_checks_no_degree(self, tmp_path):
+        out = tmp_path / "psi.csv"
+        rc = main(["scan-psi", "--n", "51", "--p-grid", "3:2:1", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text() == "p,psi_51\n"
+
+    def test_non_positive_p_reported_before_degree(self, tmp_path, capsys):
+        out = tmp_path / "psi.csv"
+        err = assert_input_error(capsys, ["scan-psi", "--n", "51", "--p-grid=-1:3:1", "--out", str(out)])
+        assert err == "error: p must be a finite positive real, got -1.0\n"
+
+    def test_degree_beyond_cap_named(self, tmp_path, capsys):
+        out = tmp_path / "psi.csv"
+        err = assert_input_error(capsys, ["scan-psi", "--n", "2,51", "--p-grid", "2:3:0.5", "--out", str(out)])
+        assert err == "error: degree must be in [1, 50], got 51\n"
+
     @pytest.mark.parametrize(
         "grid", ["2:inf:1", "2:3:nan", "-inf:3:1", "2:3:inf", "-1e308:1e308:1e308", "2:3:1e-310"]
     )
@@ -484,6 +500,16 @@ class TestOutOfRangeInput:
         argv = ["interp", str(data), "--p", "1.5", "--query-file", str(queries),
                 "--out", str(tmp_path / "vals.csv")]
         assert_input_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "x,text",
+    [(math.nan, "nan"), (-math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+     (0.0, "0"), (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"), (1.0, "1"),
+     (np.float64(0.1), "0.10000000000000001")],
+)
+def test_fmt_float_pins(x, text):
+    assert fmt_float(x) == text
 
 
 class TestDeterminism:

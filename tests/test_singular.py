@@ -76,6 +76,78 @@ class TestBernsteinHalf:
             bernstein_half(51, 2.0)
 
 
+def outcome(call):
+    """call()'s value as an array, or the type and text of what it raised."""
+    try:
+        return np.asarray(call())
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def same_outcome(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return a.shape == b.shape and bool(np.all(a == b))  # bit for bit: no nan is reached
+
+
+# p near 2, in (0, 1) down to subnormals, and up to 1e4; 1/p = 2, 1 and 0.5
+# are the exponents np.power special-cases
+P_VALUES = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.floats(2.0 - 1e-6, 2.0 + 1e-6),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(1.0, 1e4),
+)
+
+
+class TestGridEvaluation:
+    """An array of p gives exactly the float calls, one per element."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 50), ps=st.lists(P_VALUES, min_size=1, max_size=40))
+    def test_array_equals_scalar_calls_bitwise(self, n, ps):
+        grid = np.array(ps)
+        for f in (psi, bernstein_half):
+            assert same_outcome(outcome(lambda: f(n, grid)), outcome(lambda: [f(n, p) for p in ps]))
+
+    @pytest.mark.parametrize("n", range(1, 51))
+    def test_special_cased_exponents_match_scalar_calls(self, n):
+        # np.power broadcast over 3 or more rows skips the shortcut, and is then an ulp
+        # off at degrees 3, 5, 6, 27, 43 and 50
+        ps = [2.0, 1.0, 0.5, 3.0] * 3
+        for f in (psi, bernstein_half):
+            assert np.array_equal(f(n, np.array(ps)), [f(n, p) for p in ps])
+
+    def test_array_result_type_and_shape(self):
+        assert isinstance(psi(3, 2.5), float)
+        values = psi(3, np.array([2.5, 3.0]))
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        assert psi(3, np.array([])).shape == (0,)
+
+    def test_chunks_match_a_single_chunk(self, monkeypatch):
+        grid = 2.0 + 0.001 * np.arange(4001)
+        whole = {n: (psi(n, grid), bernstein_half(n, grid)) for n in (2, 7, 50)}
+        monkeypatch.setattr(singular, "BLOCK_BYTES", 8 * 50 * 7)  # 7 rows at degree 50
+        for n, (psi_whole, b_whole) in whole.items():
+            assert len(grid) > singular.BLOCK_BYTES // (8 * n)  # several chunks
+            assert np.array_equal(psi(n, grid), psi_whole)
+            assert np.array_equal(bernstein_half(n, grid), b_whole)
+
+    def test_p_checked_before_degree_in_psi(self):
+        with pytest.raises(ValueError, match=r"^p must be a finite positive real, got -1.0$"):
+            psi(51, np.array([-1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"^degree must be in \[1, 50\], got 51$"):
+            psi(51, np.array([2.0, 3.0]))
+
+    def test_first_bad_p_named(self):
+        with pytest.raises(ValueError, match=r"got nan$"):
+            psi(2, np.array([2.0, math.nan, -1.0]))
+
+    def test_two_dimensional_p_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            psi(2, np.ones((2, 2)))
+
+
 def vertex_psum(k, p):
     """Sum of ||x||_p over the 2^k vertices of [0,1]^k, through bernstein_half.
 
