@@ -9,7 +9,7 @@ rescues: moving p into (1, 2], or composing with a positive definite kernel.
 import numpy as np
 
 from pnormdist import build_distance_matrix, check_and, compose, exponential, identity
-from pnormdist.profiles import matrix_from_profile
+from pnormdist.profiles import POSITIVE_DEFINITE, matrix_from_profile
 
 square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -40,4 +40,4 @@ for p in (1.01, 1.5, 2.0):
 # exp(-||x - y||_1) is positive definite on distinct points even at p = 1
 res = matrix_from_profile(square, 1.0, compose(exponential(), identity()))
 print("\nexp(-r) at p = 1: min eigenvalue =", res.min_eigenvalue)
-print("positive definite guaranteed:", res.predicted_positive_definite)
+print("positive definite guaranteed:", res.predicted == POSITIVE_DEFINITE)

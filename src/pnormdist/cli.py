@@ -13,6 +13,7 @@ failed certificates, verdict mismatches).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -39,7 +40,7 @@ def parse_profile(text: str) -> profiles.RadialProfile:
     """Parse a profile flag: JSON, or the NAME[:PARAM][@CONVENTION] shorthand for it."""
     text = text.strip()
     if text.startswith("{"):
-        return profiles.from_json_dict(serialize.loads(text))
+        return profiles.from_json_dict(json.loads(text))
     body, at, convention = text.partition("@")
     name, colon, param = body.partition(":")
     expr = {"kind": name}
@@ -105,11 +106,10 @@ def _load_matrix_for_check(args) -> np.ndarray:
 def cmd_check_and(args) -> int:
     A = _load_matrix_for_check(args)
     report = check_and(A, tol=args.tol_eig)
-    text = serialize.dumps(report.to_json_dict())
-    print(text)
+    record = report.to_json_dict()
+    print(serialize.dumps(record))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        serialize.write_json(args.out, record)
     return EXIT_OK
 
 

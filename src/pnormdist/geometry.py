@@ -12,6 +12,7 @@ runs over contiguous rows of length m rather than of length d; the sum over
 k is taken in numpy's pairwise order, so it equals `.sum(axis=-1)` of the
 (rows, m, d) layout bit for bit. Distance matrices are assembled from its
 upper blocks and mirrored, so they are bitwise symmetric by construction.
+`distances_from_power_sums` is the one place that takes their roots.
 
 File formats owned by this module: points are CSV with one point per row and
 d float columns (no header); matrices are CSV with n rows of n floats.
@@ -71,9 +72,21 @@ class PointSet:
     def d(self) -> int:
         return self.points.shape[1]
 
+    def first_coincident_pair(self) -> Optional[tuple[int, int]]:
+        """0-based rows (i, j) of the first point j equal to an earlier point i, or None.
+
+        Rows compare as tuples of floats, so -0.0 equals 0.0.
+        """
+        seen: dict = {}
+        for j, row in enumerate(map(tuple, self.points.tolist())):
+            i = seen.setdefault(row, j)
+            if i != j:
+                return i, j
+        return None
+
     def is_distinct(self) -> bool:
         """True if no two points coincide coordinate-wise."""
-        return np.unique(self.points, axis=0).shape[0] == self.n
+        return self.first_coincident_pair() is None
 
 
 PointsLike = Union[PointSet, np.ndarray, Sequence[Sequence[float]]]
@@ -169,6 +182,20 @@ def _sum_leading(terms: np.ndarray) -> np.ndarray:
     return out
 
 
+def distances_from_power_sums(sums: np.ndarray, p: float, squared: bool = False) -> np.ndarray:
+    """s^(1/p), the p-norm distances of power sums s, or s^(2/p) with squared=True.
+
+    Raises ValueError naming p beyond the double range, which only an
+    exponent e > 1 can reach: s^e <= max(s, 1) for e <= 1.
+    """
+    exponent = (2.0 if squared else 1.0) / p
+    with np.errstate(over="ignore"):
+        out = np.power(sums, exponent)
+    if exponent > 1.0 and np.isinf(out).any():
+        raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
+    return out
+
+
 def power_sum_blocks(
     a: np.ndarray, b: Optional[np.ndarray], p: float
 ) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -226,7 +253,7 @@ def build_distance_matrix(
     if n > 1:
         for start, stop, sums in power_sum_blocks(pts.points, None, p):
             if profile is None:
-                vals = np.power(sums, 1.0 / p)
+                vals = distances_from_power_sums(sums, p)
             else:
                 vals = profile.apply_to_power_sums(sums, p)
             entries[start:stop, start:] = vals

@@ -2,13 +2,13 @@
 
 Fit solves A lambda = f with A_ij = profile(||x^i - x^j||_p) and evaluates
 s(x) = sum_i lambda_i profile(||x - x^i||_p). The centres must be distinct:
-two equal centres make two equal rows of A. The guarantee comes from the
-profile catalog: A is provably nonsingular when the catalog predicts it
-strictly AND and profile(0) >= 0 (a strictly AND matrix with non-negative
+two equal centres make two equal rows of A. The guarantee comes from one
+`profiles.predict` call: A is provably nonsingular when the catalog predicts
+it strictly AND and profile(0) >= 0 (a strictly AND matrix with non-negative
 trace has one positive and n-1 negative eigenvalues), or when it predicts
 A positive definite. A solve failure there is a numerical breakdown; other
-(p, profile) pairs are permitted but carry no guarantee, and a singular
-system raises with the matrix's AND report attached.
+(p, profile) pairs carry no guarantee, and a singular system raises with
+the matrix's AND report and the prediction's source.
 
 The solver is the one Bunch-Kaufman LDL^T factorization of
 `andmatrix.ldl_factor` (the matrix is not positive definite, so plain
@@ -18,6 +18,7 @@ the condition estimate, LAPACK's 1-norm estimate ||A||_1 ||A^-1||_1.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import profiles as prof
-from .andmatrix import check_and, ldl_factor
+from .andmatrix import VERDICT_STRICTLY_AND, check_and, ldl_factor
 from .errors import CertificationError, SingularSystemError
 from .geometry import (
     PointSet,
@@ -35,7 +36,7 @@ from .geometry import (
     finite_positive,
     power_sum_blocks,
 )
-from .serialize import dumps, loads
+from .serialize import dumps
 
 DEFAULT_FIT_TOL = 1e-8
 
@@ -82,8 +83,10 @@ def fit(
 
     The relative residual ||A lambda - f|| / ||f|| must come out below tol.
     Coincident centres raise ValueError naming the first pair (1-based
-    rows). `guaranteed` is the module's single rule: the catalog predicts
-    a strictly AND matrix with profile(0) >= 0, or a positive definite one.
+    rows). `guaranteed` is the module's single rule, read from one
+    `profiles.predict`: a strictly AND matrix with profile(0) >= 0, or a
+    positive definite one. A failed solve raises CertificationError if
+    guaranteed, else SingularSystemError; both name the prediction's source.
     """
     pts = as_point_set(x)
     p = finite_positive(p)
@@ -94,15 +97,16 @@ def fit(
         raise ValueError(f"data must have shape ({pts.n},), got {f.shape}")
     if not np.isfinite(f).all():
         raise ValueError("data values must be finite")
-    if not pts.is_distinct():
-        i, j = _first_coincident_pair(pts.points)
+    pair = pts.first_coincident_pair()
+    if pair is not None:
         raise ValueError(
-            f"centres in rows {i} and {j} coincide; equal centres make equal rows of the "
-            "interpolation matrix, which no profile or p can fit"
+            f"centres in rows {pair[0] + 1} and {pair[1] + 1} coincide; equal centres make "
+            "equal rows of the interpolation matrix, which no profile or p can fit"
         )
-    verdict, _ = prof.predict_verdict(profile, p, pts.n, True)
-    positive_definite, _ = prof.predict_positive_definite(profile, p, pts.n, True)
-    guaranteed = (verdict == "strictly-AND" and profile(0.0) >= 0.0) or positive_definite is True
+    predicted, source = prof.predict(profile, p, pts.n, True)
+    guaranteed = (
+        predicted == VERDICT_STRICTLY_AND and profile(0.0) >= 0.0
+    ) or predicted == prof.POSITIVE_DEFINITE
 
     if pts.n == 1:
         phi0 = profile(0.0)
@@ -132,24 +136,17 @@ def fit(
     if guaranteed:
         raise CertificationError(
             f"numerical breakdown: the system is provably nonsingular for p={p} "
-            f"with profile {profile.describe()}, yet the solve residual is {residual:.3e}"
+            f"with profile {profile.describe()} (catalog prediction {predicted}: {source}), "
+            f"yet the solve residual is {residual:.3e}"
         )
     report = check_and(A)
     raise SingularSystemError(
         f"singular or too ill-conditioned system (residual {residual:.3e}, "
         f"verdict {report.verdict}, det_sign {report.det_sign}); "
-        f"no solvability guarantee for p={p} with profile {profile.describe()}",
+        f"no solvability guarantee for p={p} with profile {profile.describe()} "
+        f"(catalog prediction {predicted}: {source})",
         record=report,
     )
-
-
-def _first_coincident_pair(points: np.ndarray):
-    """1-based rows (i, j) of the first centre j that repeats an earlier centre i."""
-    seen: dict = {}
-    for j, row in enumerate(map(tuple, points.tolist())):
-        i = seen.setdefault(row, j)
-        if i != j:
-            return i + 1, j + 1
 
 
 def evaluate_interpolant(s: Interpolant, query) -> float:
@@ -174,7 +171,7 @@ def to_json(s: Interpolant) -> str:
 
 
 def from_json(text: str) -> Interpolant:
-    obj = loads(text)
+    obj = json.loads(text)
     pts = PointSet(np.array(obj["centers"], dtype=float))
     coeffs = np.array(obj["coefficients"], dtype=float)
     if coeffs.shape != (pts.n,):

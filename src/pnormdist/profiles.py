@@ -18,6 +18,10 @@ f(0) = 0, and has no family otherwise. Every catalog profile vanishes only
 at 0, so f's matrix embeds as squared Euclidean distances between distinct
 points, and g keeps its class (and its strictness) over them.
 
+`predict` reads the family and the convention matrix at p and returns the
+one class the catalog guarantees for the profile matrix (strictly AND, AND,
+positive definite, or none) with the fact it rests on.
+
 Three input conventions are in play and silent mismatch is the main hazard,
 so each profile records explicitly whether it consumes the distance r, the
 squared distance r^2, or the p-th power r^p.
@@ -31,7 +35,14 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .andmatrix import DEFAULT_EIG_TOL, AndReport, check_and, verdict_rank
+from .andmatrix import (
+    DEFAULT_EIG_TOL,
+    VERDICT_AND,
+    VERDICT_STRICTLY_AND,
+    AndReport,
+    check_and,
+    verdict_rank,
+)
 from .errors import VerdictMismatchError
 from .geometry import DistanceMatrix, PointsLike
 
@@ -70,13 +81,9 @@ class RadialProfile:
 
     def apply_to_power_sums(self, sums, p: float) -> np.ndarray:
         """Map pairwise p-th-power sums s = ||x_i - x_j||_p^p to profile values."""
-        sums = np.asarray(sums, dtype=float)
-        if self.input_convention == DISTANCE:
-            t = np.power(sums, 1.0 / p)
-        elif self.input_convention == SQUARED_DISTANCE:
-            t = np.power(sums, 2.0 / p)
-        else:
-            t = sums
+        t = np.asarray(sums, dtype=float)
+        if self.input_convention != PTH_POWER_DISTANCE:
+            t = geometry.distances_from_power_sums(t, p, self.input_convention == SQUARED_DISTANCE)
         return evaluate(self, t)
 
     def describe(self) -> str:
@@ -152,119 +159,99 @@ def evaluate(profile: RadialProfile, t):
 
 
 # ---------------------------------------------------------------------------
-# Theory-predicted verdicts
+# The class the catalog guarantees
 
 
 def _base_matrix_class(convention: str, p: float):
     """What is known about the raw convention matrix itself.
 
-    Returns (class, source) where class is "strict" (strictly AND given
-    distinct points), "and" (AND, strictness not guaranteed), or None
-    (no guarantee). All three convention matrices have zero diagonal.
+    Returns (class, source) where class is VERDICT_STRICTLY_AND (given
+    distinct points), VERDICT_AND (strictness not guaranteed), or None (no
+    guarantee). All three convention matrices have zero diagonal.
     """
     if convention == DISTANCE:
         if 1.0 < p < 2.0:
-            return "strict", f"p-norm distance matrix, p={p} in (1,2)"
+            return VERDICT_STRICTLY_AND, f"p-norm distance matrix, p={p} in (1,2)"
         if p == 2.0:
-            return "strict", "Euclidean distance matrix"
+            return VERDICT_STRICTLY_AND, "Euclidean distance matrix"
         if p == 1.0:
-            return "and", "1-norm distance matrix (sum of coordinate distance matrices)"
+            return VERDICT_AND, "1-norm distance matrix (sum of coordinate distance matrices)"
         return None, f"p-norm distance matrix with p={p}: no guarantee"
     if convention == PTH_POWER_DISTANCE:
         if 0.0 < p < 2.0:
-            return "and", f"p-th power distance matrix, p={p} in (0,2)"
+            return VERDICT_AND, f"p-th power distance matrix, p={p} in (0,2)"
         if p == 2.0:
-            return "and", "squared Euclidean distance matrix"
+            return VERDICT_AND, "squared Euclidean distance matrix"
         return None, f"p-th power distance matrix with p={p}: no guarantee"
     if convention == SQUARED_DISTANCE:
         if p == 2.0:
-            return "and", "squared Euclidean distance matrix"
+            return VERDICT_AND, "squared Euclidean distance matrix"
         return None, f"squared p-norm distance matrix with p={p}: no guarantee"
     raise ValueError(f"unknown input convention: {convention!r}")
 
 
-def predict_verdict(profile: RadialProfile, p: float, n: int, distinct: bool):
-    """Strongest AND verdict the catalog guarantees, or None if no guarantee.
+def predict(profile: RadialProfile, p: float, n: int, distinct: bool):
+    """(class, source): the strongest class the catalog guarantees, and the fact it rests on.
 
-    Returns (verdict, source). The identity profile passes the base matrix
-    straight through; a CND1 profile over any guaranteed-AND base matrix
-    gives at least AND, strictly when the profile is strictly CND1 and the
-    points are distinct (nonzero off-diagonal arguments).
+    The class is VERDICT_STRICTLY_AND, VERDICT_AND, POSITIVE_DEFINITE or None.
+    The identity profile passes the base matrix straight through. A CND1
+    profile over an AND base matrix gives AND, strictly AND when it is
+    strictly CND1 on n >= 2 distinct points; a positive definite profile
+    over it gives a positive definite matrix on distinct points.
     """
     base, source = _base_matrix_class(profile.input_convention, geometry.finite_positive(p))
     if base is None:
         return None, source
+    strict = distinct and n >= 2  # every off-diagonal argument is nonzero
     if profile.kind == "identity":
-        if base == "strict" and distinct and n >= 2:
-            return "strictly-AND", source
-        return "AND", source
-    if profile.family == STRICTLY_CND1 and distinct and n >= 2:
-        return "strictly-AND", f"strictly CND1 profile over {source}"
+        return (base if strict else VERDICT_AND), source
+    if profile.family == STRICTLY_CND1 and strict:
+        return VERDICT_STRICTLY_AND, f"strictly CND1 profile over {source}"
     if profile.family in (CND1, STRICTLY_CND1):
-        return "AND", f"CND1 profile over {source}"
+        return VERDICT_AND, f"CND1 profile over {source}"
+    if profile.family == POSITIVE_DEFINITE and distinct:
+        return POSITIVE_DEFINITE, f"strictly positive definite profile over {source}"
     return None, f"profile carries no CND1 flag over {source}"
-
-
-def predict_positive_definite(profile: RadialProfile, p: float, n: int, distinct: bool):
-    """True when the matrix is guaranteed positive definite, else None.
-
-    Returns (True or None, source): a positive definite profile over a
-    guaranteed base matrix, on distinct points.
-    """
-    base, source = _base_matrix_class(profile.input_convention, geometry.finite_positive(p))
-    if base is None or profile.family != POSITIVE_DEFINITE or not distinct or n < 1:
-        return None, source
-    return True, f"strictly positive definite profile over {source}"
 
 
 @dataclass(frozen=True)
 class ProfileMatrixResult:
     matrix: DistanceMatrix
     report: AndReport
-    predicted_verdict: Optional[str]
+    predicted: Optional[str]
     prediction_source: str
-    predicted_positive_definite: Optional[bool] = None
     min_eigenvalue: Optional[float] = None
 
 
 def matrix_from_profile(
     x: PointsLike, p: float, profile: RadialProfile, tol: float = DEFAULT_EIG_TOL
 ) -> ProfileMatrixResult:
-    """Build the profile matrix and cross-check the observed verdict.
+    """Build the profile matrix and cross-check it against `predict`.
 
-    The numerical verdict from check_and must be at least as strong as the
-    theory-predicted verdict for (profile, p, distinctness); a weaker
-    observation raises VerdictMismatchError. Matrices predicted strictly
-    positive definite must additionally have min eigenvalue > 0.
+    A predicted AND class needs an observed check_and verdict at least as
+    strong; a predicted positive definite matrix needs min eigenvalue > 0.
+    Either contradiction raises VerdictMismatchError.
     """
     pts = geometry.as_point_set(x)
     p = geometry.finite_positive(p)
     if pts.n < 2:
         raise ValueError("need n >= 2 points for a meaningful verdict")
-    distinct = pts.is_distinct()
     dm = geometry.build_distance_matrix(pts, p, profile)
     report = check_and(dm.entries, tol)
-    predicted, source = predict_verdict(profile, p, pts.n, distinct)
-    predicted_pd, pd_source = predict_positive_definite(profile, p, pts.n, distinct)
+    predicted, source = predict(profile, p, pts.n, pts.is_distinct())
     min_eig = None
     if profile.family == POSITIVE_DEFINITE:
         min_eig = float(np.linalg.eigvalsh(dm.entries).min())
-    result = ProfileMatrixResult(
-        matrix=dm,
-        report=report,
-        predicted_verdict=predicted,
-        prediction_source=source,
-        predicted_positive_definite=predicted_pd,
-        min_eigenvalue=min_eig,
-    )
-    if predicted is not None and verdict_rank(report.verdict) < verdict_rank(predicted):
+    result = ProfileMatrixResult(dm, report, predicted, source, min_eig)
+    if predicted == POSITIVE_DEFINITE:
+        if min_eig <= 0.0:
+            raise VerdictMismatchError(
+                f"predicted positive definite ({source}) but min eigenvalue is {min_eig:.3e}",
+                record=result,
+            )
+    elif predicted is not None and verdict_rank(report.verdict) < verdict_rank(predicted):
         raise VerdictMismatchError(
             f"predicted {predicted} ({source}) but observed {report.verdict}",
-            record=result,
-        )
-    if predicted_pd and min_eig is not None and min_eig <= 0.0:
-        raise VerdictMismatchError(
-            f"predicted positive definite ({pd_source}) but min eigenvalue is {min_eig:.3e}",
             record=result,
         )
     return result

@@ -66,10 +66,6 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def loads(text: str):
-    return json.loads(text)
-
-
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))

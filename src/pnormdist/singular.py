@@ -27,6 +27,8 @@ singularity, which covers every p > 2.
 `bernstein_half` and `psi` take p as a float or as a 1-D array, the scan
 of a whole p grid; an array gives bit for bit the values of the float
 calls. Each degree's binomial and node rows are built once and cached.
+Their float powers of 2, theta and 1 + theta^p go through `_power`, so a
+p or theta that takes one beyond the double range raises ValueError.
 
 Root finding is plain bisection: monotonicity makes it certified-correct
 and no derivative is needed. `certify_singular` is the trust anchor for the
@@ -65,6 +67,18 @@ def _bernstein_row(i: int) -> tuple:
     nodes = np.arange(1, i + 1) / i
     binomials.flags.writeable = nodes.flags.writeable = False
     return binomials, nodes
+
+
+def _power(base: float, exponent: float, p: float, theta: float | None = None) -> float:
+    """base ** exponent as a Python float; ValueError naming p (and theta) unless finite."""
+    try:
+        value = base**exponent
+    except OverflowError:  # beyond the double range; an inf exponent (subnormal p) gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        at = f"p = {p!r}" + ("" if theta is None else f", theta = {theta!r}")
+        raise ValueError(f"{base!r}^{exponent!r} overflows a double at {at}")
+    return value
 
 
 def _finite_positive_grid(p: np.ndarray) -> np.ndarray:
@@ -116,23 +130,23 @@ def psi(n: int, p):
     """
     if not isinstance(p, np.ndarray):
         p = finite_positive(p)
-        return 2.0 * bernstein_half(n, p) - 2.0 ** (1.0 / p)
+        return 2.0 * bernstein_half(n, p) - _power(2.0, 1.0 / p, p)
     ps = _finite_positive_grid(p)
-    return 2.0 * bernstein_half(n, ps) - np.array([2.0 ** (1.0 / q) for q in ps.tolist()])
+    return 2.0 * bernstein_half(n, ps) - np.array([_power(2.0, 1.0 / q, q) for q in ps.tolist()])
 
 
 def psi_limit(p: float) -> float:
     """Pointwise limit of psi_n: 2^(1-1/p) - 2^(1/p); zero exactly at p = 2."""
     p = finite_positive(p)
-    return 2.0 ** (1.0 - 1.0 / p) - 2.0 ** (1.0 / p)
+    return _power(2.0, 1.0 - 1.0 / p, p) - _power(2.0, 1.0 / p, p)
 
 
 def phi(m: int, n: int, p: float, theta: float = 1.0) -> float:
     """Scaled determinant 4 theta B_m B_n - (1 + theta^p)^(2/p) of the cube pair."""
     p, theta = finite_positive(p), finite_positive(theta, "theta")
-    return 4.0 * theta * bernstein_half(m, p) * bernstein_half(n, p) - (
-        1.0 + theta**p
-    ) ** (2.0 / p)
+    return 4.0 * theta * bernstein_half(m, p) * bernstein_half(n, p) - _power(
+        1.0 + _power(theta, p, p, theta), 2.0 / p, p, theta
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +212,7 @@ def reduced_system(m: int, n: int, theta: float, p: float) -> np.ndarray:
     """
     p, theta = finite_positive(p), finite_positive(theta, "theta")
     bm, bn = bernstein_half(m, p), bernstein_half(n, p)
-    cross = (1.0 + theta**p) ** (1.0 / p)
+    cross = _power(1.0 + _power(theta, p, p, theta), 1.0 / p, p, theta)
     # 2^(i+1) B_i is twice the unscaled Bernstein sum, exactly: a power of two
     return np.array(
         [

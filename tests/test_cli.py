@@ -1,9 +1,14 @@
 import json
 import math
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnormdist import profiles
 from pnormdist.cli import main
@@ -492,6 +497,30 @@ class TestOutOfRangeInput:
         err = assert_input_error(capsys, ["check-and", str(pts), "--p", "2"])
         assert "below the normal double range" in err
 
+    def test_distances_beyond_double_range_at_tiny_p_exit_2(self, tmp_path, capsys, square_file):
+        # the unit square's diagonal 2^(1/p) overflows once 1/p >= 1024
+        data = tmp_path / "data.csv"
+        data.write_text("0,0,1\n1,0,0\n1,1,0\n0,1,0\n")
+        out = tmp_path / "mat.csv"
+        for argv in (
+            ["distmat", str(square_file), "--p", "9.7e-4", "--out", str(out)],
+            ["check-and", str(square_file), "--p", "9.7e-4"],
+            ["interp", str(data), "--p", "9.7e-4", "--query-file", str(square_file),
+             "--out", str(tmp_path / "vals.csv")],
+        ):
+            err = assert_input_error(capsys, argv)
+            assert "p-norm distances overflow a double at p = 0.00097" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["9.7e-4", "1e-300"])
+    def test_psi_beyond_double_range_at_tiny_p_exit_2(self, tmp_path, capsys, p):
+        # 2^(1/p) overflows once 1/p >= 1024
+        argv = ["scan-psi", "--n", "2,5", "--p-grid", f"{p}:{p}:1", "--out", str(tmp_path / "psi.csv")]
+        assert f"overflows a double at p = {float(p)!r}" in assert_input_error(capsys, argv)
+        argv = ["singular-config", "--n", "2", "--p", p,
+                "--out-points", str(tmp_path / "pts.csv"), "--out-cert", str(tmp_path / "c.json")]
+        assert f"overflows a double at p = {float(p)!r}" in assert_input_error(capsys, argv)
+
     def test_far_query_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0,0,1\n1,0,2\n")
@@ -500,6 +529,50 @@ class TestOutOfRangeInput:
         argv = ["interp", str(data), "--p", "1.5", "--query-file", str(queries),
                 "--out", str(tmp_path / "vals.csv")]
         assert_input_error(capsys, argv)
+
+
+@pytest.fixture(scope="module")
+def unit_square_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("unit_square")
+    (base / "square.csv").write_text(UNIT_SQUARE_CSV)
+    (base / "data.csv").write_text("0,0,1\n1,0,0\n1,1,0\n0,1,0\n")
+    (base / "queries.csv").write_text("0.5,0.5\n0.25,1\n")
+    return base
+
+
+class TestWholePRange:
+    """No p a double can hold ends a command in a traceback or in a non-finite output."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(min_value=5e-324, max_value=1.7e308))
+    @example(p=5e-324)
+    @example(p=9.7e-4)
+    @example(p=1 / 1024)
+    @example(p=1e-3)
+    @example(p=1030.0)
+    def test_exit_code_and_finite_files(self, unit_square_dir, p):
+        sq, data, queries = (str(unit_square_dir / f) for f in ("square.csv", "data.csv", "queries.csv"))
+        with tempfile.TemporaryDirectory(dir=unit_square_dir) as tmp:
+            out = Path(tmp)
+            runs = [
+                (["distmat", sq, "--p", repr(p), "--out", str(out / "mat.csv")], ["mat.csv"]),
+                (["check-and", sq, "--p", repr(p), "--out", str(out / "and.json")], ["and.json"]),
+                (["interp", data, "--p", repr(p), "--query-file", queries,
+                  "--out", str(out / "vals.csv")], ["vals.csv"]),
+                (["scan-psi", "--n", "2,5", "--p-grid", f"{p!r}:{p!r}:1",
+                  "--out", str(out / "psi.csv")], ["psi.csv"]),
+                (["singular-config", "--n", "2", "--p", repr(p), "--out-points",
+                  str(out / "pts.csv"), "--out-cert", str(out / "cert.json")], ["pts.csv", "cert.json"]),
+            ]
+            for argv, files in runs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rc = main(argv)
+                assert rc in (0, 2, 3), argv
+                if rc == 0:
+                    for name in files:
+                        text = (out / name).read_text()
+                        assert not re.search(r"\b(?:inf|nan)\b", text), (argv, text)
 
 
 @pytest.mark.parametrize(

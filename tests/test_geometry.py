@@ -112,6 +112,11 @@ class TestPointSet:
         assert pts.is_distinct()
         assert not PointSet(np.array([[1.0, 2.0], [1.0, 2.0]])).is_distinct()
 
+    def test_first_coincident_pair(self):
+        # rows compare as floats, so a signed zero repeats an unsigned one
+        assert PointSet(np.array([[0.0], [1.0], [-0.0]])).first_coincident_pair() == (0, 2)
+        assert PointSet(np.array(UNIT_SQUARE)).first_coincident_pair() is None
+
     def test_rejects_dimension_mismatch_and_nonfinite(self):
         with pytest.raises(ValueError):
             PointSet(np.array([1.0, 2.0]))  # not 2-d

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -77,6 +78,17 @@ class TestFit:
         assert report is not None
         assert report.det_sign == 0
         assert report.verdict == "AND"
+
+    def test_failures_name_the_prediction_source(self):
+        source = "(catalog prediction AND: 1-norm distance matrix (sum of coordinate distance matrices))"
+        with pytest.raises(SingularSystemError, match=re.escape(source)):
+            fit(UNIT_SQUARE, [1.0, 0.0, 0.0, 0.0], 1.0)
+        # a residual bound below rounding turns a guaranteed fit into a breakdown
+        rng = np.random.default_rng(40)
+        with pytest.raises(CertificationError) as exc_info:
+            fit(rng.random((8, 2)), rng.standard_normal(8), 2.0, tol=1e-300)
+        assert type(exc_info.value) is CertificationError
+        assert "(catalog prediction strictly-AND: Euclidean distance matrix)" in str(exc_info.value)
 
     def test_fit_succeeds_and_det_sign_alternates_across_regime(self):
         # 200 randomized instances over p in (1, 2]: the solve always

@@ -19,7 +19,7 @@ from pnormdist.profiles import (
     matrix_from_profile,
     multiquadric,
     power,
-    predict_verdict,
+    predict,
     to_json_dict,
 )
 
@@ -81,33 +81,53 @@ class TestFamily:
             profiles.RadialProfile(kind="identity", family="cnd-1")
 
 
+# (profile, p, n, distinct, class) rows beyond the single cases below
+PREDICTIONS = [
+    *(
+        pytest.param(compose(exponential(), identity()), p, 5, distinct, cls,
+                     id=f"exp-o-identity-p{p:g}-{'distinct' if distinct else 'coincident'}")
+        for p in (1.0, 1.5, 2.0)
+        for distinct, cls in ((True, POSITIVE_DEFINITE), (False, None))
+    ),
+    # no base guarantee for the p-norm distance matrix above p = 2
+    pytest.param(compose(exponential(), identity()), 3.0, 5, True, None, id="exp-o-identity-p3"),
+    # a 1 x 1 matrix has no off-diagonal argument, so strictness is not claimed
+    pytest.param(identity(), 1.5, 1, True, "AND", id="identity-n1"),
+    pytest.param(multiquadric(), 1.5, 1, True, "AND", id="multiquadric-n1"),
+]
+
+
 class TestPrediction:
+    @pytest.mark.parametrize("profile, p, n, distinct, cls", PREDICTIONS)
+    def test_predict_table(self, profile, p, n, distinct, cls):
+        assert predict(profile, p, n, distinct)[0] == cls
+
     def test_pnorm_between_one_and_two(self):
-        verdict, _ = predict_verdict(identity(), 1.5, 5, True)
+        verdict, _ = predict(identity(), 1.5, 5, True)
         assert verdict == "strictly-AND"
 
     def test_one_norm_is_and_only(self):
-        verdict, _ = predict_verdict(identity(), 1.0, 4, True)
+        verdict, _ = predict(identity(), 1.0, 4, True)
         assert verdict == "AND"
 
     def test_pth_power_convention(self):
-        verdict, _ = predict_verdict(identity(PTH_POWER_DISTANCE), 0.8, 5, True)
+        verdict, _ = predict(identity(PTH_POWER_DISTANCE), 0.8, 5, True)
         assert verdict == "AND"
 
     def test_above_two_no_guarantee(self):
-        verdict, _ = predict_verdict(identity(), 3.0, 5, True)
+        verdict, _ = predict(identity(), 3.0, 5, True)
         assert verdict is None
 
     def test_quasi_norm_distance_no_guarantee(self):
-        verdict, _ = predict_verdict(identity(), 0.8, 5, True)
+        verdict, _ = predict(identity(), 0.8, 5, True)
         assert verdict is None
 
     def test_strict_profile_over_and_base(self):
-        verdict, _ = predict_verdict(multiquadric(), 1.0, 4, True)
+        verdict, _ = predict(multiquadric(), 1.0, 4, True)
         assert verdict == "strictly-AND"
 
     def test_coincident_points_downgrade_strictness(self):
-        verdict, _ = predict_verdict(identity(), 1.5, 5, False)
+        verdict, _ = predict(identity(), 1.5, 5, False)
         assert verdict == "AND"
 
 
@@ -116,13 +136,13 @@ class TestMatrixFromProfile:
         rng = np.random.default_rng(21)
         x = rng.standard_normal((5, 3))
         res = matrix_from_profile(x, 1.5, identity())
-        assert res.predicted_verdict == "strictly-AND"
+        assert res.predicted == "strictly-AND"
         assert res.report.verdict == "strictly-AND"
         assert res.report.det_sign == 1
 
     def test_unit_square_predicted_and_observed_singular(self):
         res = matrix_from_profile(UNIT_SQUARE, 1.0, identity())
-        assert res.predicted_verdict == "AND"
+        assert res.predicted == "AND"
         assert res.report.verdict == "AND"
         assert res.report.det_sign == 0
 
@@ -130,7 +150,7 @@ class TestMatrixFromProfile:
         rng = np.random.default_rng(22)
         x = rng.standard_normal((6, 2))
         res = matrix_from_profile(x, 0.8, identity(PTH_POWER_DISTANCE))
-        assert res.predicted_verdict == "AND"
+        assert res.predicted == "AND"
         assert res.report.verdict in ("AND", "strictly-AND")
 
     def test_decomposition_identity(self):
@@ -165,13 +185,13 @@ class TestMatrixFromProfile:
         rng = np.random.default_rng(25)
         x = rng.standard_normal((8, 2))
         res = matrix_from_profile(x, 1.0, compose(exponential(), identity()))
-        assert res.predicted_positive_definite is True
+        assert res.predicted == POSITIVE_DEFINITE
         assert res.min_eigenvalue > 0.0
         # squared-Euclidean route: exp(-|x-y|^(2 tau))
         res2 = matrix_from_profile(
             x, 2.0, compose(exponential(), power(0.75, SQUARED_DISTANCE))
         )
-        assert res2.predicted_positive_definite is True
+        assert res2.predicted == POSITIVE_DEFINITE
         assert res2.min_eigenvalue > 0.0
 
     def test_mismatch_raises(self):

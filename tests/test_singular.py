@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,33 @@ class TestPsiPhi:
     def test_pointwise_convergence_to_limit(self):
         for p in (2.1, 2.5, 3.0):
             assert abs(psi(40, p) - psi_limit(p)) < abs(psi(10, p) - psi_limit(p))
+
+    @pytest.mark.parametrize("p", [9.7e-4, 1e-300, 5e-324])
+    def test_powers_beyond_double_range_raise_naming_p(self, p):
+        # 2^(1/p) and (1 + theta^p)^(k/p) overflow once 1/p >= 1024, and 1/p is
+        # inf for subnormal p
+        for call in (
+            lambda: psi(2, p),
+            lambda: psi(2, np.array([2.0, p, 3.0])),
+            lambda: psi_limit(p),
+            lambda: phi(2, 2, p),
+            lambda: reduced_system(2, 2, 1.0, p),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"overflows a double at p = {p!r}")):
+                call()
+
+    def test_theta_power_beyond_double_range_names_theta(self):
+        for call in (lambda: phi(2, 2, 400.0, 10.0), lambda: reduced_system(2, 2, 10.0, 400.0)):
+            with pytest.raises(ValueError, match=r"at p = 400.0, theta = 10.0$"):
+                call()
+
+    def test_finite_powers_keep_their_bits(self):
+        p = 2e-3  # 2^500 and (1 + theta^p)^1000 <= 2^1000 are still doubles
+        assert psi(2, p) == 2.0 * bernstein_half(2, p) - 2.0 ** (1.0 / p)
+        assert psi_limit(p) == 2.0 ** (1.0 - 1.0 / p) - 2.0 ** (1.0 / p)
+        assert phi(2, 3, p, 0.5) == 4.0 * 0.5 * bernstein_half(2, p) * bernstein_half(3, p) - (
+            1.0 + 0.5**p
+        ) ** (2.0 / p)
 
 
 class TestCubeConfig:
