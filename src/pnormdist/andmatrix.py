@@ -37,7 +37,7 @@ VERDICT_STRICTLY_AND = "strictly-AND"
 
 _VERDICT_RANK = {VERDICT_NOT_AND: 0, VERDICT_AND: 1, VERDICT_STRICTLY_AND: 2}
 
-DEFAULT_EIG_TOL = 1e-10
+EIG_TOL = 1e-10  # eigenvalue and pivot cut-off, relative to |A|_max
 
 
 def verdict_rank(verdict: str) -> int:
@@ -146,19 +146,19 @@ def det_sign_logmag(A: np.ndarray, cut: float):
     return sign, float(np.sum(np.log(np.abs(pivots))))
 
 
-def check_and(A, tol: float = DEFAULT_EIG_TOL) -> AndReport:
+def check_and(A) -> AndReport:
     """Classify A as not-AND / AND / strictly-AND from its restricted spectrum.
 
     Eigenvalue comparisons are relative to scale = |A|_max, so the verdict
     does not change when A is multiplied by a positive number; the
     determinant sign and log-magnitude come from the pivots of A's one
     Bunch-Kaufman LDL^T factorization (`det_sign_logmag`), with the same
-    cut-off tol * |A|_max.
+    cut-off EIG_TOL * |A|_max.
     """
     A = np.asarray(A, dtype=float)
     B = restrict_to_zero_sum(A)
     mu = np.linalg.eigvalsh(B)
-    cut = tol * float(np.abs(A).max())
+    cut = EIG_TOL * float(np.abs(A).max())
     if mu.min() > cut:
         verdict = VERDICT_STRICTLY_AND
     elif mu.min() >= -cut:
@@ -196,20 +196,19 @@ class Embedding:
         return sq
 
 
-def schoenberg_embed(A, tol: float = DEFAULT_EIG_TOL, rank: Optional[int] = None) -> Embedding:
+def schoenberg_embed(A) -> Embedding:
     """Embed a zero-diagonal AND matrix as squared Euclidean distances.
 
     Construction: B' = restrict_to_zero_sum(A); P with P^T P = B' from one
     eigendecomposition B' = V diag(w) V^T, as the rows sqrt(w_i) v_i^T in
     ascending order of w_i; the embedding vectors are the columns of
-    P/sqrt(2) plus the zero vector, in dimension n-1 (or `rank` if
-    truncation is requested, keeping the dominant eigendirections). An
-    eigenvalue of B' below check_and's cut-off -tol*|A|_max means A is not
-    AND, and raises NotAndError carrying check_and's report; eigenvalues in
-    [-tol*|A|_max, 0] are clamped to 0, so rank-deficient (merely AND)
+    P/sqrt(2) plus the zero vector, in dimension n-1. An eigenvalue of B'
+    below check_and's cut-off -EIG_TOL*|A|_max means A is not AND, and
+    raises NotAndError carrying check_and's report; eigenvalues in
+    [-EIG_TOL*|A|_max, 0] are clamped to 0, so rank-deficient (merely AND)
     matrices embed. Distinctness transfers: A_ij != 0 for i != j implies
-    y^i != y^j. Without truncation the residual must stay within
-    10*tol*|A|_max, a cut-off that scales with A.
+    y^i != y^j. The residual must stay within 10*EIG_TOL*|A|_max, a cut-off
+    that scales with A.
     """
     A = np.asarray(A, dtype=float)
     B = restrict_to_zero_sum(A)
@@ -218,22 +217,18 @@ def schoenberg_embed(A, tol: float = DEFAULT_EIG_TOL, rank: Optional[int] = None
         raise ValueError("matrix must have an exactly zero diagonal")
     scale = float(np.abs(A).max())
     w, V = np.linalg.eigh(B)
-    if w.min() < -tol * scale:
+    if w.min() < -EIG_TOL * scale:
         raise NotAndError(
             "matrix is not almost negative definite; no squared-distance embedding exists",
-            record=check_and(A, tol),
+            record=check_and(A),
         )
     P = np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T  # P^T P = B
-    if rank is not None:
-        if not 1 <= rank <= n - 1:
-            raise ValueError(f"rank must be in [1, {n - 1}], got {rank}")
-        P = P[-rank:]  # keep the largest-eigenvalue rows
-    vectors = np.zeros((n, P.shape[0]))
+    vectors = np.zeros((n, n - 1))
     vectors[: n - 1] = P.T / math.sqrt(2.0)
     emb = Embedding(vectors=vectors, residual=0.0)
     residual = float(np.abs(emb.squared_distances() - A).max())
-    if rank is None and residual > 10.0 * tol * scale:
+    if residual > 10.0 * EIG_TOL * scale:
         raise EmbeddingError(
-            f"embedding residual {residual:.3e} exceeds tolerance {10.0 * tol * scale:.3e}"
+            f"embedding residual {residual:.3e} exceeds tolerance {10.0 * EIG_TOL * scale:.3e}"
         )
     return Embedding(vectors=vectors, residual=residual)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import interpolation, profiles, serialize, singular
-from .andmatrix import DEFAULT_EIG_TOL, check_and, schoenberg_embed
+from .andmatrix import check_and, schoenberg_embed
 from .errors import CertificationError, InputError
 from .geometry import (
     build_distance_matrix,
@@ -75,18 +75,6 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise InputError(f"grid {spec!r} has {int(count)} points, more than memory holds") from None
 
 
-def tolerance(text: str) -> float:
-    """argparse type of every tolerance flag: a finite number >= 0."""
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
-
-
-def _add_tolerance(sp, flag: str, default: float, what: str) -> None:
-    sp.add_argument(flag, type=tolerance, default=default, help=f"{what} (default %(default)g)")
-
-
 def cmd_distmat(args) -> int:
     pts = read_points_csv(args.points)
     profile = parse_profile(args.profile)
@@ -105,7 +93,7 @@ def _load_matrix_for_check(args) -> np.ndarray:
 
 def cmd_check_and(args) -> int:
     A = _load_matrix_for_check(args)
-    report = check_and(A, tol=args.tol_eig)
+    report = check_and(A)
     record = report.to_json_dict()
     print(serialize.dumps(record))
     if args.out:
@@ -115,7 +103,7 @@ def cmd_check_and(args) -> int:
 
 def cmd_embed(args) -> int:
     A = read_matrix_csv(args.matrix)
-    emb = schoenberg_embed(A, tol=args.tol_eig)
+    emb = schoenberg_embed(A)
     write_points_csv(args.out, emb.vectors)
     print(serialize.dumps({"n": emb.n, "dimension": emb.vectors.shape[1], "residual": emb.residual}))
     return EXIT_OK
@@ -155,7 +143,7 @@ def cmd_singular_config(args) -> int:
             raise InputError(f"m and n must be >= 2, got m={args.m}, n={args.n}")
         root = singular.find_pmn(args.m, args.n)
         config = singular.cube_config(args.m, args.n, theta=1.0, p=root.value)
-    record = singular.certify_singular(config, tol=args.tol_cert, side_cap=args.cert_cap)
+    record = singular.certify_singular(config, side_cap=args.cert_cap)
     write_points_csv(args.out_points, config.points)
     serialize.write_json(args.out_cert, record.to_json_dict())
     print(serialize.dumps(record.to_json_dict()))
@@ -168,7 +156,7 @@ def cmd_interp(args) -> int:
         raise InputError(f"{args.data}: need d+1 columns (coordinates then value)")
     centers, values = data[:, :-1], data[:, -1]
     profile = parse_profile(args.profile)
-    interp = interpolation.fit(centers, values, args.p, profile, tol=args.tol_cert)
+    interp = interpolation.fit(centers, values, args.p, profile)
     queries = read_points_csv(args.query_file).points
     if queries.shape[1] != centers.shape[1]:
         raise InputError(
@@ -240,13 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--profile", default="identity")
     sp.add_argument("--out")
-    _add_tolerance(sp, "--tol-eig", DEFAULT_EIG_TOL, "eigenvalue cut-off relative to |A|_max")
     sp.set_defaults(func=cmd_check_and)
 
     sp = sub.add_parser("embed", help="squared-distance embedding of an AND matrix")
     sp.add_argument("matrix")
     sp.add_argument("--out", required=True)
-    _add_tolerance(sp, "--tol-eig", DEFAULT_EIG_TOL, "eigenvalue cut-off relative to |A|_max")
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("find-pn", help="critical exponents p_n as CSV")
@@ -268,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=singular.DEFAULT_CERT_SIDE_CAP,
         help="largest cube side certified on the full matrix (default %(default)d)",
     )
-    _add_tolerance(sp, "--tol-cert", singular.DEFAULT_CERT_TOL, "largest relative null residual")
     sp.set_defaults(func=cmd_singular_config)
 
     sp = sub.add_parser("interp", help="fit and evaluate an interpolant")
@@ -277,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", default="identity")
     sp.add_argument("--query-file", required=True)
     sp.add_argument("--out", required=True)
-    _add_tolerance(
-        sp, "--tol-cert", interpolation.DEFAULT_FIT_TOL, "largest relative fit residual"
-    )
     sp.set_defaults(func=cmd_interp)
 
     sp = sub.add_parser("scan-psi", help="psi_n values on a p grid as CSV")

@@ -38,7 +38,7 @@ from .geometry import (
 )
 from .serialize import dumps
 
-DEFAULT_FIT_TOL = 1e-8
+FIT_TOL = 1e-8  # largest relative residual ||A lambda - f|| / ||f|| of a fit
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,10 @@ def fit(
     f,
     p: float,
     profile: Optional[prof.RadialProfile] = None,
-    tol: float = DEFAULT_FIT_TOL,
 ) -> Interpolant:
     """Solve the interpolation system and return an evaluable interpolant.
 
-    The relative residual ||A lambda - f|| / ||f|| must come out below tol.
+    The relative residual ||A lambda - f|| / ||f|| must come out at most FIT_TOL.
     Coincident centres raise ValueError naming the first pair (1-based
     rows). `guaranteed` is the module's single rule, read from one
     `profiles.predict`: a strictly AND matrix with profile(0) >= 0, or a
@@ -125,7 +124,7 @@ def fit(
     denom = fnorm if fnorm > 0.0 else 1.0
     if np.isfinite(coeffs).all():
         residual = float(np.linalg.norm(A @ coeffs - f)) / denom
-        if residual <= tol:
+        if residual <= FIT_TOL:
             # dsycon's last bits follow the address of a work buffer scipy
             # allocates (OpenBLAS dasum); single precision keeps reruns identical
             rcond = float(np.float32(lapack.dsycon(lu, ipiv, np.linalg.norm(A, 1))[0]))

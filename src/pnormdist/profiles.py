@@ -35,14 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .andmatrix import (
-    DEFAULT_EIG_TOL,
-    VERDICT_AND,
-    VERDICT_STRICTLY_AND,
-    AndReport,
-    check_and,
-    verdict_rank,
-)
+from .andmatrix import VERDICT_AND, VERDICT_STRICTLY_AND, AndReport, check_and, verdict_rank
 from .errors import VerdictMismatchError
 from .geometry import DistanceMatrix, PointsLike
 
@@ -80,11 +73,20 @@ class RadialProfile:
         return evaluate(self, t)
 
     def apply_to_power_sums(self, sums, p: float) -> np.ndarray:
-        """Map pairwise p-th-power sums s = ||x_i - x_j||_p^p to profile values."""
+        """Map pairwise p-th-power sums s = ||x_i - x_j||_p^p to profile values.
+
+        Raises ValueError naming the profile and p when a value overflows a double.
+        """
         t = np.asarray(sums, dtype=float)
         if self.input_convention != PTH_POWER_DISTANCE:
             t = geometry.distances_from_power_sums(t, p, self.input_convention == SQUARED_DISTANCE)
-        return evaluate(self, t)
+        with np.errstate(over="ignore"):
+            vals = evaluate(self, t)
+        if not np.isfinite(vals).all():
+            raise ValueError(
+                f"profile {self.describe()} overflows a double at p = {p:g}; rescale the points"
+            )
+        return vals
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -223,9 +225,7 @@ class ProfileMatrixResult:
     min_eigenvalue: Optional[float] = None
 
 
-def matrix_from_profile(
-    x: PointsLike, p: float, profile: RadialProfile, tol: float = DEFAULT_EIG_TOL
-) -> ProfileMatrixResult:
+def matrix_from_profile(x: PointsLike, p: float, profile: RadialProfile) -> ProfileMatrixResult:
     """Build the profile matrix and cross-check it against `predict`.
 
     A predicted AND class needs an observed check_and verdict at least as
@@ -237,7 +237,7 @@ def matrix_from_profile(
     if pts.n < 2:
         raise ValueError("need n >= 2 points for a meaningful verdict")
     dm = geometry.build_distance_matrix(pts, p, profile)
-    report = check_and(dm.entries, tol)
+    report = check_and(dm.entries)
     predicted, source = predict(profile, p, pts.n, pts.is_distinct())
     min_eig = None
     if profile.family == POSITIVE_DEFINITE:
@@ -301,6 +301,8 @@ def from_json_dict(obj) -> RadialProfile:
     if kind != "power":
         return _LEAVES[kind](convention)
     try:
+        if isinstance(obj["tau"], bool):  # float() reads a JSON true as 1.0
+            raise TypeError
         tau = float(obj["tau"])
     except (TypeError, ValueError):
         raise ValueError(f"power profile needs a numeric tau, got {obj['tau']!r}") from None

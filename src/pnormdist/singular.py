@@ -52,7 +52,7 @@ from .geometry import BLOCK_BYTES, PointSet, build_distance_matrix, finite_posit
 
 MAX_BERNSTEIN_DEGREE = 50  # binomials C(k, j) stay exact in doubles through here
 MAX_CUBE_SIDE = 12  # cube pairs up to 2^12 + 2^12 points
-DEFAULT_CERT_TOL = 1e-8
+CERT_TOL = 1e-8  # largest relative null residual of a singularity certificate
 DEFAULT_CERT_SIDE_CAP = 5  # full matrices up to 2^5 + 2^5 = 64 points
 REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
 _SCALAR_POWER_SHORTCUTS = (0.5, 1.0, 2.0)  # exponents 1/p that np.power special-cases
@@ -353,9 +353,7 @@ class CertificationRecord:
 
 
 def certify_singular(
-    config: CubeConfig,
-    tol: float = DEFAULT_CERT_TOL,
-    side_cap: int = DEFAULT_CERT_SIDE_CAP,
+    config: CubeConfig, side_cap: int = DEFAULT_CERT_SIDE_CAP
 ) -> CertificationRecord:
     """End-to-end singularity certificate for a cube configuration at a root.
 
@@ -363,15 +361,16 @@ def certify_singular(
     checks the 2x2 reduction on it: every cross entry equals
     (1 + theta^p)^(1/p), and every row's two block sums equal the matching
     row of `reduced_system(...)`, both to relative REDUCTION_RTOL.
-    Then it checks ||A v|| / (sigma_max ||v||) <= tol for the block-constant
-    v = (lambda, ..., mu, ...) with (lambda, mu) = (b, -a) / ||(b, -a)|| from
-    the first row (a, b) of the reduced matrix, its kernel at a root; by
-    Courant-Fischer that bounds sigma_min / sigma_max by tol too. A is
-    symmetric, positive off the diagonal and equitably partitioned by the
-    cubes, so by Perron-Frobenius sigma_max is the Perron root of the 2x2
-    reduced matrix and no SVD is taken. Raises CertificationError on failure
-    (a reduction bug or a root residual too large). The side cap bounds the
-    2^m + 2^n matrix work; raise it explicitly for larger cubes.
+    Then it checks ||A v|| / (sigma_max ||v||) <= CERT_TOL for the
+    block-constant v = (lambda, ..., mu, ...) with (lambda, mu) =
+    (b, -a) / ||(b, -a)|| from the first row (a, b) of the reduced matrix,
+    its kernel at a root; by Courant-Fischer that bounds sigma_min / sigma_max
+    by CERT_TOL too. A is symmetric, positive off the diagonal and equitably
+    partitioned by the cubes, so by Perron-Frobenius sigma_max is the Perron
+    root of the 2x2 reduced matrix and no SVD is taken. Raises
+    CertificationError on failure (a reduction bug or a root residual too
+    large). The side cap bounds the 2^m + 2^n matrix work; raise it
+    explicitly for larger cubes.
     """
     if max(config.m, config.n) > side_cap:
         raise ValueError(
@@ -397,7 +396,7 @@ def certify_singular(
     v = np.concatenate([np.full(first, lam), np.full(second, mu)])
     sigma_max = float(0.5 * (a + d) + math.sqrt((0.5 * (a - d)) ** 2 + b * c))
     residual = float(np.linalg.norm(A @ v) / (sigma_max * np.linalg.norm(v)))
-    passed = residual <= tol
+    passed = residual <= CERT_TOL
     record = CertificationRecord(
         m=config.m,
         n=config.n,
@@ -411,7 +410,8 @@ def certify_singular(
     )
     if not passed:
         raise CertificationError(
-            f"singularity certification failed: null residual = {residual:.3e}, tol = {tol:g}",
+            f"singularity certification failed: null residual = {residual:.3e}, "
+            f"tol = {CERT_TOL:g}",
             record=record,
         )
     return record

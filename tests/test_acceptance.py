@@ -144,7 +144,7 @@ def test_criterion_07_full_matrix_certification():
         start = time.perf_counter()
         for m, n in ((2, 2), (2, 3), (3, 3)):
             cfg = cube_config(m, n, 1.0, find_pmn(m, n).value)
-            record = certify_singular(cfg, tol=1e-8)
+            record = certify_singular(cfg)
             A = build_distance_matrix(cfg.points, cfg.p).entries
             svals = np.linalg.svd(A, compute_uv=False)
             assert svals[-1] / svals[0] < 1e-8
@@ -160,7 +160,7 @@ def test_criterion_08_theta_sweep_covers_all_p():
                 n += 1
             root = find_theta(n, p)
             assert abs(phi(n, n, p, root.value)) < 1e-12
-            record = certify_singular(cube_config(n, n, root.value, p), tol=1e-8)
+            record = certify_singular(cube_config(n, n, root.value, p))
             assert record.passed
 
 
@@ -169,7 +169,7 @@ def test_criterion_09_interpolation_pipeline():
         rng = np.random.default_rng(909)
         x = rng.random((20, 3))
         f = rng.standard_normal(20)
-        s = fit(x, f, 1.5, identity(), tol=1e-8)
+        s = fit(x, f, 1.5, identity())
         for xi, fi in zip(x, f):
             assert abs(evaluate_interpolant(s, xi) - fi) < 1e-8
         with pytest.raises(SingularSystemError):

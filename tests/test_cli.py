@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnormdist import profiles
-from pnormdist.cli import main
+from pnormdist.cli import build_parser, main
 from pnormdist.geometry import (
     build_distance_matrix,
     read_matrix_csv,
@@ -127,23 +128,17 @@ class TestProfileFlag:
 
 
 class TestToleranceFlags:
-    EXPECTED = {
-        "distmat": set(),
-        "check-and": {"--tol-eig"},
-        "embed": {"--tol-eig"},
-        "find-pn": set(),
-        "singular-config": {"--tol-cert"},
-        "interp": {"--tol-cert"},
-        "scan-psi": set(),
-    }
+    """Tolerances are module constants: no subcommand reads a tolerance flag."""
 
-    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    @pytest.mark.parametrize(
+        "command",
+        ["check-and", "distmat", "embed", "find-pn", "interp", "scan-psi", "singular-config"],
+    )
     def test_help_lists_only_the_flags_read(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        listed = set(re.findall(r"--tol-[a-z]+", capsys.readouterr().out))
-        assert listed == self.EXPECTED[command]
+        assert "--tol-" not in capsys.readouterr().out
 
     def test_flag_on_a_subcommand_that_ignores_it_exit_2(self, tmp_path, capsys, square_file):
         out = tmp_path / "mat.csv"
@@ -152,7 +147,7 @@ class TestToleranceFlags:
             ["distmat", str(square_file), "--p", "1.5", "--out", str(out), "--tol-eig", "1e-10"],
         )
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "banana"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "banana", "0", "1e-10"])
     def test_check_and_bad_tol_eig_exit_2(self, capsys, square_file, value):
         argv = ["check-and", str(square_file), "--p", "1.5", "--tol-eig", value]
         assert_input_error(capsys, argv)
@@ -166,15 +161,31 @@ class TestToleranceFlags:
         )
         assert not outc.exists()
 
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("embed", "--tol-eig", "1e-10"), ("interp", "--tol-cert", "1e-8"),
+         ("singular-config", "--tol-cert", "1e-8")],
+    )
+    def test_once_valid_values_exit_2(self, tmp_path, capsys, square_file, command, flag, value):
+        out = tmp_path / "out.csv"
+        matrix, data = tmp_path / "m.csv", tmp_path / "data.csv"
+        write_matrix_csv(matrix, UNIT_SQUARE_1NORM)
+        data.write_text("0,0,1\n1,0,0\n1,1,0\n0,1,0\n")
+        argv = {
+            "embed": ["embed", str(matrix), "--out", str(out)],
+            "interp": ["interp", str(data), "--p", "1.5", "--query-file", str(square_file),
+                       "--out", str(out)],
+            "singular-config": ["singular-config", "--m", "2", "--n", "2",
+                                "--out-points", str(out), "--out-cert", str(tmp_path / "c.json")],
+        }[command]
+        assert_input_error(capsys, argv + [flag, value])
+        assert not out.exists()
+
     def test_find_pn_nan_tol_root_exit_2(self, tmp_path, capsys):
         out = tmp_path / "pn.csv"
         argv = ["find-pn", "--n-min", "2", "--n-max", "3", "--tol-root", "nan", "--out", str(out)]
         assert_input_error(capsys, argv)
         assert not out.exists()
-
-    def test_zero_tolerance_is_legal(self, capsys, square_file):
-        assert main(["check-and", str(square_file), "--p", "1.5", "--tol-eig", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["verdict"] == "strictly-AND"
 
 
 class TestCheckAnd:
@@ -550,6 +561,7 @@ class TestWholePRange:
     @example(p=1 / 1024)
     @example(p=1e-3)
     @example(p=1030.0)
+    @example(p=0.002)  # power:3 of the distances 2^500 overflows
     def test_exit_code_and_finite_files(self, unit_square_dir, p):
         sq, data, queries = (str(unit_square_dir / f) for f in ("square.csv", "data.csv", "queries.csv"))
         with tempfile.TemporaryDirectory(dir=unit_square_dir) as tmp:
@@ -559,6 +571,12 @@ class TestWholePRange:
                 (["check-and", sq, "--p", repr(p), "--out", str(out / "and.json")], ["and.json"]),
                 (["interp", data, "--p", repr(p), "--query-file", queries,
                   "--out", str(out / "vals.csv")], ["vals.csv"]),
+                (["distmat", sq, "--p", repr(p), "--profile", "power:3",
+                  "--out", str(out / "cube.csv")], ["cube.csv"]),
+                (["check-and", sq, "--p", repr(p), "--profile", "power:3",
+                  "--out", str(out / "cube.json")], ["cube.json"]),
+                (["interp", data, "--p", repr(p), "--profile", "power:3", "--query-file", queries,
+                  "--out", str(out / "cube_vals.csv")], ["cube_vals.csv"]),
                 (["scan-psi", "--n", "2,5", "--p-grid", f"{p!r}:{p!r}:1",
                   "--out", str(out / "psi.csv")], ["psi.csv"]),
                 (["singular-config", "--n", "2", "--p", repr(p), "--out-points",
@@ -601,3 +619,27 @@ class TestDeterminism:
                   "--out-points", str(outp), "--out-cert", str(outc)])
             certs.append(outc.read_bytes())
         assert certs[0] == certs[1]
+
+
+class TestReadme:
+    """README's "Command line" section names exactly the flags the parser has."""
+
+    @staticmethod
+    def parser_flags() -> set:
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return {
+            flag
+            for sp in commands.choices.values()
+            for action in sp._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+
+    def test_command_line_section_names_every_flag_and_no_other(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        flags = self.parser_flags()
+        assert named - flags == set(), "README names flags the parser lacks"
+        assert flags - named == set(), "parser flags missing from README"

@@ -79,14 +79,15 @@ class TestFit:
         assert report.det_sign == 0
         assert report.verdict == "AND"
 
-    def test_failures_name_the_prediction_source(self):
+    def test_failures_name_the_prediction_source(self, monkeypatch):
         source = "(catalog prediction AND: 1-norm distance matrix (sum of coordinate distance matrices))"
         with pytest.raises(SingularSystemError, match=re.escape(source)):
             fit(UNIT_SQUARE, [1.0, 0.0, 0.0, 0.0], 1.0)
         # a residual bound below rounding turns a guaranteed fit into a breakdown
         rng = np.random.default_rng(40)
+        monkeypatch.setattr(interpolation, "FIT_TOL", 1e-300)
         with pytest.raises(CertificationError) as exc_info:
-            fit(rng.random((8, 2)), rng.standard_normal(8), 2.0, tol=1e-300)
+            fit(rng.random((8, 2)), rng.standard_normal(8), 2.0)
         assert type(exc_info.value) is CertificationError
         assert "(catalog prediction strictly-AND: Euclidean distance matrix)" in str(exc_info.value)
 

@@ -44,6 +44,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(identity(), -0.1)
 
+    def test_overflowing_values_name_the_profile_and_p(self):
+        # 2^500 is a double, its cube is not
+        with pytest.raises(ValueError, match=r"power\(3\) overflows a double at p = 0\.002"):
+            power(3.0).apply_to_power_sums(np.array([[1.0, 2.0]]), 0.002)
+        # exp(-inf) = 0 is the value of e^(-t^3) there: only the final values count
+        vals = compose(exponential(), power(3.0)).apply_to_power_sums(np.array([[2.0]]), 0.002)
+        assert np.array_equal(vals, [[0.0]])
+
     def test_associativity_of_composition_evaluation(self):
         h, g, f = power(0.3), multiquadric(), power(0.7)
         left = compose(h, compose(g, f))
@@ -234,6 +242,8 @@ class TestJson:
             {"kind": "power", "tau": None},
             {"kind": "power", "tau": [1]},
             {"kind": "power", "tau": "banana"},
+            {"kind": "power", "tau": True},
+            {"kind": "power", "tau": False},
             {"kind": "power", "tau": 0.5, "outer": {"kind": "identity"}},
             {"kind": "identity", "tau": 3},
             {"kind": "multiquadric", "tau": "banana"},

@@ -530,11 +530,10 @@ class TestCertification:
             pn = find_pn(n).value
             p = pn + u * (12.0 - pn)
             cfg = cube_config(n, n, find_theta(n, p).value, p)
-        tol = singular.DEFAULT_CERT_TOL
-        rec = certify_singular(cfg, tol=tol, side_cap=6)
+        rec = certify_singular(cfg, side_cap=6)
         svals = np.linalg.svd(build_distance_matrix(cfg.points, cfg.p).entries, compute_uv=False)
         assert rec.sigma_max == pytest.approx(svals[0], rel=1e-12)
-        assert svals[-1] / svals[0] <= tol
+        assert svals[-1] / svals[0] <= singular.CERT_TOL
 
     def test_takes_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
