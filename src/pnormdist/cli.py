@@ -164,9 +164,9 @@ def cmd_interp(args) -> int:
             f"data dimension {centers.shape[1]}"
         )
     out_vals = interp.evaluate_many(queries)
+    text = "".join(fmt_float(v) + "\n" for v in out_vals.tolist())
     with open(args.out, "w", encoding="utf-8") as fh:
-        for v in out_vals.tolist():
-            fh.write(fmt_float(v) + "\n")
+        fh.write(text)
     fit_residual = float(np.max(np.abs(interp.evaluate_many(centers) - values)))
     print(
         serialize.dumps(

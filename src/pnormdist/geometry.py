@@ -15,13 +15,20 @@ upper blocks and mirrored, so they are bitwise symmetric by construction.
 `distances_from_power_sums` is the one place that takes their roots.
 
 File formats owned by this module: points are CSV with one point per row and
-d float columns (no header); matrices are CSV with n rows of n floats.
+d float columns (no header); matrices are CSV with n rows of n floats. A
+cell is anything Python's float() reads, underscores between digits
+included, and may be quoted; blank lines, whitespace-only lines and rows of
+empty cells are skipped; a non-finite cell is rejected with its line and
+column. A well-formed file (ASCII decimal cells, finite, the same count on
+every line) is parsed in one vectorised `np.loadtxt` call; any other file is
+read row by row, which gives the same values and words every error.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
@@ -302,26 +309,47 @@ def _read_rows(path) -> list[list[float]]:
     return rows
 
 
+def _read_array(path) -> np.ndarray:
+    """The cells of a CSV file as a 2-d float array, equal bit for bit to
+    `np.array(_read_rows(path))`, or the error `_read_rows` raises.
+
+    `np.loadtxt` reads from a handle opened as `_read_rows` opens one, so a
+    missing file raises the same OSError, and with comments=None, so a '#'
+    line is not skipped. A file it rejects, one with no data rows and one with
+    a non-finite cell are read again by `_read_rows`. One input differs: a cell
+    longer than csv's field size limit, on which `_read_rows` raises
+    csv.Error, is parsed here.
+    """
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file with no data
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        pass
+    else:
+        if arr.size and np.isfinite(arr).all():
+            return arr
+    return np.array(_read_rows(path))
+
+
 def read_points_csv(path) -> PointSet:
     """Read points from CSV (one point per row, d float columns, no header)."""
     try:
-        return PointSet(np.array(_read_rows(path)))
+        return PointSet(_read_array(path))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
 def write_points_csv(path, points: PointsLike) -> None:
-    pts = as_point_set(points)
+    rows = as_point_set(points).points.tolist()
+    text = "".join(",".join(map(fmt_float, row)) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in pts.points:
-            fh.write(",".join(map(fmt_float, row.tolist())))
-            fh.write("\n")
+        fh.write(text)
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read an n x n float matrix from CSV (no header)."""
-    rows = _read_rows(path)
-    arr = np.array(rows)
+    arr = _read_array(path)
     if arr.shape[0] != arr.shape[1]:
         raise InputError(f"{path}: expected a square matrix, got shape {arr.shape}")
     return arr
@@ -329,6 +357,8 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def write_matrix_csv(path, matrix) -> None:
     arr = matrix.entries if isinstance(matrix, DistanceMatrix) else np.asarray(matrix, dtype=float)
+    # one write per row: a row holds n values, so the call costs nothing
+    # beside formatting them, and the file's text is never held whole
     with open(path, "w", encoding="utf-8") as fh:
         for row in np.atleast_2d(arr):
             fh.write(",".join(map(fmt_float, row.tolist())))

@@ -70,7 +70,17 @@ class RadialProfile:
             raise ValueError(f"unknown profile family: {self.family!r}")
 
     def __call__(self, t):
-        return evaluate(self, t)
+        """The profile at t >= 0 (scalar or array).
+
+        Raises ValueError naming the profile when a value overflows a double.
+        Only the final value is checked, so an inner value that overflows to
+        inf may still map to a finite one (exp o power(3) gives 0 there).
+        """
+        with np.errstate(over="ignore"):
+            vals = evaluate(self, t)
+        if np.isinf(vals).any():
+            raise ValueError(f"profile {self.describe()} overflows a double")
+        return vals
 
     def apply_to_power_sums(self, sums, p: float) -> np.ndarray:
         """Map pairwise p-th-power sums s = ||x_i - x_j||_p^p to profile values.

@@ -20,7 +20,7 @@ from pnormdist.andmatrix import check_and, schoenberg_embed
 from pnormdist.errors import SingularSystemError
 from pnormdist.geometry import build_distance_matrix, pow_abs
 from pnormdist.interpolation import evaluate_interpolant, fit
-from pnormdist.profiles import PTH_POWER_DISTANCE, identity
+from pnormdist.profiles import identity
 from pnormdist.singular import (
     certify_singular,
     cube_config,
@@ -255,6 +255,72 @@ def test_public_api_is_pinned():
     # a name added here needs a caller among the demos, the CLI or the tests
     assert sorted(pnormdist.__all__) == PUBLIC_API
     assert all(hasattr(pnormdist, name) for name in PUBLIC_API)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads.
+
+    A name counts as read when it appears as a name anywhere, inside a
+    string annotation, or in `__all__`; `from __future__` imports are exempt.
+    """
+    tree = ast.parse(source)
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    parsed = ast.parse(part.value, mode="eval")
+                    read.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    root = Path(__file__).parents[1]
+    files = sorted(
+        path for top in ("src/pnormdist", "tests", "demos") for path in (root / top).rglob("*.py")
+    )
+    assert len(files) > 20
+    unused = {
+        str(path.relative_to(root)): names
+        for path in files
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+def test_unused_imports_scan():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import math\n"
+        "from typing import TYPE_CHECKING, Optional\n"
+        "from .x import shown\n"
+        "if TYPE_CHECKING:\n"
+        "    from .y import Profile\n"
+        "__all__ = ['shown']\n"
+        "def f(a: 'Optional[Profile]') -> None:\n"
+        "    return os.path.join(a)\n"
+    )
+    assert unused_imports(source) == ["math (line 3)"]
 
 
 def traced_targets():

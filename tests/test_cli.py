@@ -79,6 +79,15 @@ class TestDistmat:
         out = tmp_path / "mat.csv"
         assert main(["distmat", str(pts), "--p", "1", "--out", str(out)]) == 2
 
+    def test_missing_input_exit_2(self, tmp_path, capsys):
+        # the readers open the file themselves: given the path, loadtxt would
+        # word this as "missing.csv not found."
+        missing = tmp_path / "missing.csv"
+        for argv in (["distmat", str(missing), "--p", "1", "--out", str(tmp_path / "mat.csv")],
+                     ["check-and", str(missing), "--kind", "matrix"]):
+            err = assert_input_error(capsys, argv)
+            assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
 
 class TestProfileFlag:
     @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_acceptance import pth_power_matrix
 from test_cli import assert_input_error
 
-from pnormdist import interpolation
+from pnormdist import geometry, interpolation
 from pnormdist.errors import InputError
 from pnormdist.geometry import (
     PointSet,
@@ -337,12 +337,15 @@ class TestCsv:
         with pytest.raises(InputError, match=r"bad\.csv:2"):
             read_points_csv(path)
 
-    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    # loadtxt parses each of these to inf or nan; only the finiteness check
+    # sends them on to the reader that names the line and column
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity", "1e309"])
     def test_non_finite_cell_reports_line(self, tmp_path, cell):
         path = tmp_path / "mat.csv"
         path.write_text(f"0,1\n1,{cell}\n")
-        with pytest.raises(InputError, match=r"mat\.csv:2: column 2: not a finite number"):
+        with pytest.raises(InputError) as info:
             read_matrix_csv(path)
+        assert str(info.value) == f"{path}:2: column 2: not a finite number: {cell!r}"
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -351,13 +354,125 @@ class TestCsv:
             read_points_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
+        # loadtxt returns shape (0, 1) for the first two, with a UserWarning
+        # that must not escape: under -W error it would replace the InputError
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(InputError, match="no data rows"):
-            read_points_csv(path)
+        for text in ["", "\n\n", "  \n\t\n", ",\n , \n"]:
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InputError) as info:
+                    read_points_csv(path)
+            assert str(info.value) == f"{path}: {path}: no data rows"
 
     def test_nonsquare_matrix_rejected(self, tmp_path):
         path = tmp_path / "rect.csv"
         path.write_text("1.0,2.0\n")
         with pytest.raises(InputError, match="square"):
             read_matrix_csv(path)
+
+    def test_comment_line_is_a_malformed_row(self, tmp_path):
+        # comments=None: loadtxt would otherwise skip the '#' line silently
+        path = tmp_path / "hash.csv"
+        path.write_text("0,1\n# 1,0\n1,0\n")
+        with pytest.raises(InputError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{path}:2: column 1: not a number: '# 1'"
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            ("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),  # whitespace-only line
+            ("1,2\n,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),  # a row of empty cells
+            ('"1",2\n3," 4 "\n', [[1.0, 2.0], [3.0, 4.0]]),  # quoted cells
+            ("1_0,2\n", [[10.0, 2.0]]),  # float() takes underscores between digits
+            ("\u0661,\uff12\n", [[1.0, 2.0]]),  # Arabic-Indic and fullwidth digits
+        ],
+    )
+    def test_inputs_only_the_row_reader_accepts(self, tmp_path, text, rows):
+        path = tmp_path / "pts.csv"
+        path.write_text(text, encoding="utf-8")
+        assert np.array_equal(read_points_csv(path).points, rows)
+
+    def test_well_formed_file_is_read_in_one_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "pts.csv"
+        rng = np.random.default_rng(15)
+        pts = rng.standard_normal((50, 3)) * np.logspace(-300, 300, 50)[:, None]
+        write_points_csv(path, pts)
+
+        def refuse(path):
+            raise AssertionError("a well-formed file reached the row reader")
+
+        monkeypatch.setattr(geometry, "_read_rows", refuse)
+        assert read_points_csv(path).points.tobytes() == pts.tobytes()
+
+
+# cells for the agreement property: numbers as the writers and people write
+# them, and every form on which np.loadtxt and float() disagree or that the
+# row reader rejects
+CSV_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(width=64).map(lambda v: format(v, ".17g")),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["", " ", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e309", "-1e309",
+         "5e-324", "4.9e-324", "2.2250738585072014e-308", "1e-400", "-0", "+.5", "5.",
+         "1_0", "1__0", "_1", '"1"', '"2.5"', '"1', "'1'", " 3 ", "\t4", "#1", "0x10",
+         "1d5", "1e", "1j", "\u0661", "\uff12", "\u00a01", "True"]
+    ),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Rows of cells, mostly of one width, joined by one line ending."""
+    width = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.one_of(
+                st.lists(CSV_CELLS, min_size=width, max_size=width),
+                st.lists(CSV_CELLS, max_size=5),
+            ),
+            max_size=6,
+        )
+    )
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(",".join(row) for row in rows)
+    return text + newline if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def read_outcome(read, path):
+    """The array `read` returns, or the type and text of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestCsvReadersAgree:
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts())
+    @example(text="1,2\n3,4\n")
+    @example(text="1,nan\n")
+    @example(text="1e309\n")
+    @example(text="\n\n")
+    @example(text="1,2\n   \n")
+    @example(text="1_0\n")
+    @example(text="1,2\n3\n")
+    def test_one_parse_returns_what_the_row_reader_returns(self, csv_dir, text):
+        path = csv_dir / "cells.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        fast = read_outcome(geometry._read_array, path)
+        rows = read_outcome(lambda path: np.array(geometry._read_rows(path)), path)
+        if isinstance(rows, tuple):
+            assert fast == rows
+        else:
+            assert isinstance(fast, np.ndarray)
+            assert (fast.dtype, fast.shape) == (rows.dtype, rows.shape)
+            assert fast.tobytes() == rows.tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ class TestEvaluate:
         # exp(-inf) = 0 is the value of e^(-t^3) there: only the final values count
         vals = compose(exponential(), power(3.0)).apply_to_power_sums(np.array([[2.0]]), 0.002)
         assert np.array_equal(vals, [[0.0]])
+
+    def test_calling_an_overflowing_profile_names_it(self):
+        # the call used to print a RuntimeWarning and return inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e200, np.array([1.0, 1e200])):
+                with pytest.raises(ValueError, match=r"^profile power\(3\) overflows a double$"):
+                    power(3.0)(t)
+            assert compose(exponential(), power(3.0))(1e200) == 0.0
+            assert power(3.0)(2.0) == 8.0
 
     def test_associativity_of_composition_evaluation(self):
         h, g, f = power(0.3), multiquadric(), power(0.7)
