@@ -36,7 +36,6 @@ from .interpolation import Interpolant, evaluate_interpolant, fit
 from .profiles import (
     RadialProfile,
     compose,
-    evaluate,
     exponential,
     identity,
     matrix_from_profile,
@@ -84,7 +83,6 @@ __all__ = [
     "check_and",
     "compose",
     "cube_config",
-    "evaluate",
     "evaluate_interpolant",
     "exponential",
     "find_pmn",

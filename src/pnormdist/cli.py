@@ -69,17 +69,21 @@ def _parse_grid(spec: str) -> np.ndarray:
     count = np.floor((hi - lo) / step + 1e-9) + 1
     if not math.isfinite(count):
         raise InputError(f"grid {spec!r} has more points than a float can count")
+    count = int(count)
+    too_large = f"grid {spec!r} has {count} points, more than memory holds"
+    if count > np.iinfo(np.intp).max:  # np.arange(2**63) returns an empty array
+        raise InputError(too_large)
     try:
-        return lo + step * np.arange(int(count))
-    except MemoryError:
-        raise InputError(f"grid {spec!r} has {int(count)} points, more than memory holds") from None
+        return lo + step * np.arange(count)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index can address
+        raise InputError(too_large) from None
 
 
 def cmd_distmat(args) -> int:
     pts = read_points_csv(args.points)
     profile = parse_profile(args.profile)
     dm = build_distance_matrix(pts, args.p, profile)
-    write_matrix_csv(args.out, dm)
+    write_matrix_csv(args.out, dm.entries)
     return EXIT_OK
 
 
@@ -109,21 +113,26 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _write_table(args, header: list[str], rows) -> None:
+    """The rows as CSV under a header line in --out, and with --json-out as a
+    JSON list of {column: value} records. `fmt_float` prints an int cell as its
+    digits, and the JSON keeps it an int.
+    """
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt_float, row)) + "\n")
+    if args.json_out:
+        serialize.write_json(args.json_out, [dict(zip(header, row)) for row in rows])
+
+
 def cmd_find_pn(args) -> int:
     if args.n_min < 2:
         raise InputError(f"--n-min must be >= 2, got {args.n_min}")
     if args.n_max < args.n_min:
         raise InputError(f"--n-max ({args.n_max}) must be >= --n-min ({args.n_min})")
     ns = range(args.n_min, args.n_max + 1)
-    rows = singular.rate_table(ns)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("n,p_n,rate\n")
-        for n, pn, rate in rows:
-            fh.write(f"{n},{fmt_float(pn)},{fmt_float(rate)}\n")
-    if args.json_out:
-        serialize.write_json(
-            args.json_out, [{"n": n, "p_n": pn, "rate": rate} for n, pn, rate in rows]
-        )
+    _write_table(args, ["n", "p_n", "rate"], singular.rate_table(ns))
     return EXIT_OK
 
 
@@ -192,18 +201,7 @@ def cmd_scan_psi(args) -> int:
     rows = []
     if len(grid):  # an empty grid evaluates nothing, so it checks no degree either
         rows = np.column_stack([grid] + [singular.psi(n, grid) for n in ns]).tolist()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("p," + ",".join(f"psi_{n}" for n in ns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(fmt_float, row)) + "\n")
-    if args.json_out:
-        serialize.write_json(
-            args.json_out,
-            [
-                {"p": p, **{f"psi_{n}": v for n, v in zip(ns, vals)}}
-                for p, *vals in rows
-            ],
-        )
+    _write_table(args, ["p"] + [f"psi_{n}" for n in ns], rows)
     return EXIT_OK
 
 

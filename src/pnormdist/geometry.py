@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
@@ -90,10 +91,6 @@ class PointSet:
             if i != j:
                 return i, j
         return None
-
-    def is_distinct(self) -> bool:
-        """True if no two points coincide coordinate-wise."""
-        return self.first_coincident_pair() is None
 
 
 PointsLike = Union[PointSet, np.ndarray, Sequence[Sequence[float]]]
@@ -282,28 +279,37 @@ def _read_rows(path) -> list[list[float]]:
     rows = []
     width = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue  # tolerate blank lines
-            vals = []
-            for col, cell in enumerate(row, start=1):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
+        # csv rejects a cell longer than its field size limit (131072
+        # characters by default), and np.loadtxt does not. No cell is longer
+        # than the file, so the limit is raised to the file's size while it is
+        # read, and both readers take the same cells
+        limit = csv.field_size_limit()
+        csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or all(cell.strip() == "" for cell in row):
+                    continue  # tolerate blank lines
+                vals = []
+                for col, cell in enumerate(row, start=1):
+                    try:
+                        vals.append(float(cell))
+                    except ValueError:
+                        raise InputError(
+                            f"{path}:{lineno}: column {col}: not a number: {cell.strip()!r}"
+                        ) from None
+                    if not math.isfinite(vals[-1]):
+                        raise InputError(
+                            f"{path}:{lineno}: column {col}: not a finite number: {cell.strip()!r}"
+                        )
+                if width is None:
+                    width = len(vals)
+                elif len(vals) != width:
                     raise InputError(
-                        f"{path}:{lineno}: column {col}: not a number: {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(vals[-1]):
-                    raise InputError(
-                        f"{path}:{lineno}: column {col}: not a finite number: {cell.strip()!r}"
+                        f"{path}:{lineno}: expected {width} columns, got {len(vals)}"
                     )
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise InputError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(vals)}"
-                )
-            rows.append(vals)
+                rows.append(vals)
+        finally:
+            csv.field_size_limit(limit)
     if not rows:
         raise InputError(f"{path}: no data rows")
     return rows
@@ -316,9 +322,7 @@ def _read_array(path) -> np.ndarray:
     `np.loadtxt` reads from a handle opened as `_read_rows` opens one, so a
     missing file raises the same OSError, and with comments=None, so a '#'
     line is not skipped. A file it rejects, one with no data rows and one with
-    a non-finite cell are read again by `_read_rows`. One input differs: a cell
-    longer than csv's field size limit, on which `_read_rows` raises
-    csv.Error, is parsed here.
+    a non-finite cell are read again by `_read_rows`.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh, warnings.catch_warnings():
@@ -334,8 +338,9 @@ def _read_array(path) -> np.ndarray:
 
 def read_points_csv(path) -> PointSet:
     """Read points from CSV (one point per row, d float columns, no header)."""
+    arr = _read_array(path)  # its errors already name the file
     try:
-        return PointSet(_read_array(path))
+        return PointSet(arr)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -356,7 +361,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, matrix) -> None:
-    arr = matrix.entries if isinstance(matrix, DistanceMatrix) else np.asarray(matrix, dtype=float)
+    arr = np.asarray(matrix, dtype=float)
     # one write per row: a row holds n values, so the call costs nothing
     # beside formatting them, and the file's text is never held whole
     with open(path, "w", encoding="utf-8") as fh:

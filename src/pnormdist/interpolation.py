@@ -18,7 +18,6 @@ the condition estimate, LAPACK's 1-norm estimate ||A||_1 ||A^-1||_1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +35,6 @@ from .geometry import (
     finite_positive,
     power_sum_blocks,
 )
-from .serialize import dumps
 
 FIT_TOL = 1e-8  # largest relative residual ||A lambda - f|| / ||f|| of a fit
 
@@ -154,28 +152,3 @@ def evaluate_interpolant(s: Interpolant, query) -> float:
     if q.shape != (s.centers.d,):
         raise ValueError(f"query must have shape ({s.centers.d},), got {q.shape}")
     return float(s.evaluate_many(q[None, :])[0])
-
-
-def to_json(s: Interpolant) -> str:
-    return dumps(
-        {
-            "centers": s.centers.points,
-            "coefficients": s.coefficients,
-            "p": s.p,
-            "profile": prof.to_json_dict(s.profile),
-            "condition_estimate": s.condition_estimate,
-            "guaranteed": s.guaranteed,
-        }
-    )
-
-
-def from_json(text: str) -> Interpolant:
-    obj = json.loads(text)
-    pts = PointSet(np.array(obj["centers"], dtype=float))
-    coeffs = np.array(obj["coefficients"], dtype=float)
-    if coeffs.shape != (pts.n,):
-        raise ValueError("coefficients do not match centers")
-    profile = prof.from_json_dict(obj["profile"])
-    p = finite_positive(obj["p"])
-    cond = float(obj["condition_estimate"])  # also reads the "inf" string form
-    return Interpolant(pts, coeffs, p, profile, cond, bool(obj["guaranteed"]))

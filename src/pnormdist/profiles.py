@@ -77,7 +77,7 @@ class RadialProfile:
         inf may still map to a finite one (exp o power(3) gives 0 there).
         """
         with np.errstate(over="ignore"):
-            vals = evaluate(self, t)
+            vals = _evaluate(self, t)
         if np.isinf(vals).any():
             raise ValueError(f"profile {self.describe()} overflows a double")
         return vals
@@ -91,7 +91,7 @@ class RadialProfile:
         if self.input_convention != PTH_POWER_DISTANCE:
             t = geometry.distances_from_power_sums(t, p, self.input_convention == SQUARED_DISTANCE)
         with np.errstate(over="ignore"):
-            vals = evaluate(self, t)
+            vals = _evaluate(self, t)
         if not np.isfinite(vals).all():
             raise ValueError(
                 f"profile {self.describe()} overflows a double at p = {p:g}; rescale the points"
@@ -138,7 +138,7 @@ def compose(
     It takes outer's family when inner is CND1 (strictly or not) and
     inner(0) = 0, and has no family otherwise.
     """
-    keeps = inner.family in (CND1, STRICTLY_CND1) and evaluate(inner, 0.0) == 0.0
+    keeps = inner.family in (CND1, STRICTLY_CND1) and _evaluate(inner, 0.0) == 0.0
     return RadialProfile(
         kind="composition",
         outer=outer,
@@ -148,8 +148,8 @@ def compose(
     )
 
 
-def evaluate(profile: RadialProfile, t):
-    """Evaluate the scalar map at t >= 0 (scalar or array)."""
+def _evaluate(profile: RadialProfile, t):
+    """The scalar map at t >= 0 (scalar or array), with no overflow check."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("profile argument must be non-negative")
@@ -162,7 +162,7 @@ def evaluate(profile: RadialProfile, t):
     elif profile.kind == "exponential":
         out = np.exp(-arr)
     elif profile.kind == "composition":
-        out = evaluate(profile.outer, evaluate(profile.inner, arr))
+        out = _evaluate(profile.outer, _evaluate(profile.inner, arr))
     else:
         raise ValueError(f"unknown profile kind: {profile.kind!r}")
     if np.isscalar(t) or arr.ndim == 0:
@@ -248,7 +248,7 @@ def matrix_from_profile(x: PointsLike, p: float, profile: RadialProfile) -> Prof
         raise ValueError("need n >= 2 points for a meaningful verdict")
     dm = geometry.build_distance_matrix(pts, p, profile)
     report = check_and(dm.entries)
-    predicted, source = predict(profile, p, pts.n, pts.is_distinct())
+    predicted, source = predict(profile, p, pts.n, pts.first_coincident_pair() is None)
     min_eig = None
     if profile.family == POSITIVE_DEFINITE:
         min_eig = float(np.linalg.eigvalsh(dm.entries).min())
@@ -269,21 +269,6 @@ def matrix_from_profile(x: PointsLike, p: float, profile: RadialProfile) -> Prof
 
 # ---------------------------------------------------------------------------
 # JSON expression form
-
-
-def to_json_dict(profile: RadialProfile) -> dict:
-    out: dict = {"kind": profile.kind}
-    if profile.kind == "power":
-        out["tau"] = float(profile.tau)
-    if profile.kind == "composition":
-        out["outer"] = to_json_dict(profile.outer)
-        out["inner"] = to_json_dict(profile.inner)
-        default = profile.inner.input_convention
-    else:
-        default = DISTANCE
-    if profile.input_convention != default:
-        out["input_convention"] = profile.input_convention
-    return out
 
 
 _LEAVES = {"identity": identity, "multiquadric": multiquadric, "exponential": exponential}

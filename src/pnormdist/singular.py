@@ -167,14 +167,6 @@ class CubeConfig:
     p: float
     points: PointSet
 
-    @property
-    def first_count(self) -> int:
-        return 2**self.m
-
-    @property
-    def second_count(self) -> int:
-        return 2**self.n
-
 
 def _sign_grid(k: int) -> np.ndarray:
     """(2^k, k) array of +-1 sign patterns; bit j of the row index sets column j."""
@@ -379,7 +371,7 @@ def certify_singular(
         )
     A = build_distance_matrix(config.points, config.p).entries
     rs = reduced_system(config.m, config.n, config.theta, config.p)
-    first, second = config.first_count, config.second_count
+    first, second = 2**config.m, 2**config.n
     cross = rs[0, 1] / second  # exact: the entry is 2^n (1 + theta^p)^(1/p)
     cross_dev = float(np.abs(A[:first, first:] - cross).max()) / cross
     sums = np.stack([A[:, :first].sum(axis=1), A[:, first:].sum(axis=1)], axis=1)

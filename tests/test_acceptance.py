@@ -7,7 +7,10 @@ pass/fail lines alongside the pytest verdicts.
 import ast
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -215,7 +218,6 @@ PUBLIC_API = [
     "check_and",
     "compose",
     "cube_config",
-    "evaluate",
     "evaluate_interpolant",
     "exponential",
     "find_pmn",
@@ -249,6 +251,18 @@ def test_readme_library_tour_runs():
     exec(compile(code, "README.md", "exec"), names)
     assert names["root"].value == pytest.approx(2.80097422586, abs=1e-11)
     assert names["s"](names["x"][0]) == pytest.approx(names["f"][0], abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((Path(__file__).parents[1] / "demos").glob("*.py")), ids=lambda path: path.name
+)
+def test_demo_runs(demo):
+    # as a user runs it: its own interpreter on the source tree, warnings as errors
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr.decode()
 
 
 def test_public_api_is_pinned():

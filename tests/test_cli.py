@@ -73,11 +73,21 @@ class TestDistmat:
         assert np.array_equal(A, A.T)
         assert np.all(np.diag(A) == 0.0)
 
-    def test_malformed_csv_exit_2(self, tmp_path):
+    def test_malformed_csv_exit_2(self, tmp_path, capsys):
         pts = tmp_path / "bad.csv"
         pts.write_text("1,2\n3,França\n")
-        out = tmp_path / "mat.csv"
-        assert main(["distmat", str(pts), "--p", "1", "--out", str(out)]) == 2
+        argv = ["distmat", str(pts), "--p", "1", "--out", str(tmp_path / "mat.csv")]
+        err = assert_input_error(capsys, argv)
+        assert err == f"error: {pts}:2: column 2: not a number: 'França'\n"  # the file named once
+
+    def test_cell_beyond_the_csv_field_limit_exit_2(self, tmp_path, capsys):
+        # csv's default limit is 131072 characters; the quoted cell sends the
+        # file to the row reader, and the 200 000 digits overflow a double
+        pts = tmp_path / "long.csv"
+        pts.write_text('"1",' + "1" * 200_000 + "\n2,3\n")
+        argv = ["distmat", str(pts), "--p", "1", "--out", str(tmp_path / "mat.csv")]
+        err = assert_input_error(capsys, argv)
+        assert err.startswith(f"error: {pts}:1: column 2: not a finite number: '111")
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         # the readers open the file themselves: given the path, loadtxt would
@@ -109,7 +119,7 @@ class TestProfileFlag:
         pts.write_text("\n".join(",".join(fmt_float(v) for v in row) for row in x) + "\n")
         out, ref = tmp_path / "mat.csv", tmp_path / "ref.csv"
         assert main(["distmat", str(pts), "--p", "1.5", "--profile", flag, "--out", str(out)]) == 0
-        write_matrix_csv(ref, build_distance_matrix(x, 1.5, made))
+        write_matrix_csv(ref, build_distance_matrix(x, 1.5, made).entries)
         assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize(
@@ -462,11 +472,20 @@ class TestScanPsi:
         assert_input_error(capsys, ["scan-psi", "--n", "2", f"--p-grid={grid}", "--out", str(out)])
 
     def test_grid_larger_than_memory_exit_2(self, tmp_path, capsys):
-        # 4e17 points ask for 2.78 EiB, which no allocator grants
+        # 4e17 points ask for 2.78 EiB, which no allocator grants; 2^63 and 1e300
+        # points are past the sizes numpy indexes (it returned an empty grid at
+        # 2^63 and raised its own ValueError at 1e300)
         out = tmp_path / "psi.csv"
         argv = ["scan-psi", "--n", "2", "--p-grid=2:6:1e-17", "--out", str(out)]
         err = assert_input_error(capsys, argv)
         assert "'2:6:1e-17'" in err and "400000000000000000 points" in err
+        argv = ["scan-psi", "--n", "2", "--p-grid=2:3:1e-300", "--out", str(out)]
+        err = assert_input_error(capsys, argv)
+        pattern = r"error: grid '2:3:1e-300' has \d{300} points, more than memory holds\n"
+        assert re.fullmatch(pattern, err)
+        argv = ["scan-psi", "--n", "2", "--p-grid=2:9223372036854775807:1", "--out", str(out)]
+        err = assert_input_error(capsys, argv)
+        assert "has 9223372036854775808 points, more than memory holds" in err
 
     def test_json_output(self, tmp_path):
         out, jout = tmp_path / "psi.csv", tmp_path / "psi.json"

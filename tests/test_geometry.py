@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_acceptance import pth_power_matrix
 from test_cli import assert_input_error
 
-from pnormdist import geometry, interpolation
+from pnormdist import geometry
 from pnormdist.errors import InputError
 from pnormdist.geometry import (
     PointSet,
@@ -23,7 +23,6 @@ from pnormdist.geometry import (
 )
 from pnormdist.interpolation import fit
 from pnormdist.profiles import matrix_from_profile, multiquadric
-from pnormdist.serialize import dumps
 from pnormdist.singular import (
     bernstein_half,
     cube_config,
@@ -65,7 +64,6 @@ class TestPExponent:
     def test_rejects_nonpositive(self, bad, tmp_path, capsys):
         # every public function that takes p, and every CLI command that passes --p on
         square, values = np.array(UNIT_SQUARE), [1.0, 2.0, 3.0, 4.0]
-        saved = interpolation.to_json(fit(square, values, 1.5))
         calls = {
             "pnorm": lambda: pnorm([3.0, 4.0], bad),
             "build_distance_matrix": lambda: build_distance_matrix(square, bad),
@@ -78,9 +76,6 @@ class TestPExponent:
             "find_theta": lambda: find_theta(2, bad),
             "fit": lambda: fit(square, values, bad),
             "matrix_from_profile": lambda: matrix_from_profile(square, bad, multiquadric()),
-            "from_json": lambda: interpolation.from_json(
-                saved.replace('"p":1.5', f'"p":{dumps(bad)}')
-            ),
         }
 
         def rejects(call):
@@ -109,8 +104,8 @@ class TestPointSet:
     def test_shape_and_distinct(self):
         pts = PointSet(np.array(UNIT_SQUARE))
         assert pts.n == 4 and pts.d == 2
-        assert pts.is_distinct()
-        assert not PointSet(np.array([[1.0, 2.0], [1.0, 2.0]])).is_distinct()
+        assert pts.first_coincident_pair() is None
+        assert PointSet(np.array([[1.0, 2.0], [1.0, 2.0]])).first_coincident_pair() == (0, 1)
 
     def test_first_coincident_pair(self):
         # rows compare as floats, so a signed zero repeats an unsigned one
@@ -327,9 +322,9 @@ class TestCsv:
 
     def test_matrix_round_trip(self, tmp_path):
         path = tmp_path / "mat.csv"
-        A = build_distance_matrix(UNIT_SQUARE, 1.0)
+        A = build_distance_matrix(UNIT_SQUARE, 1.0).entries
         write_matrix_csv(path, A)
-        assert np.array_equal(read_matrix_csv(path), A.entries)
+        assert np.array_equal(read_matrix_csv(path), A)
 
     def test_malformed_cell_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -363,7 +358,7 @@ class TestCsv:
                 warnings.simplefilter("error")
                 with pytest.raises(InputError) as info:
                     read_points_csv(path)
-            assert str(info.value) == f"{path}: {path}: no data rows"
+            assert str(info.value) == f"{path}: no data rows"
 
     def test_nonsquare_matrix_rejected(self, tmp_path):
         path = tmp_path / "rect.csv"
@@ -464,6 +459,11 @@ class TestCsvReadersAgree:
     @example(text="1,2\n   \n")
     @example(text="1_0\n")
     @example(text="1,2\n3\n")
+    # cells longer than csv's default field size limit (131072 characters):
+    # a quoted cell sends the file to the row reader, where 200 000 digits
+    # overflow, and a finite one that np.loadtxt parses
+    @example(text='"1",' + "1" * 200_000 + "\n2,3\n")
+    @example(text="0." + "1" * 200_000 + ",1\n2,3\n")
     def test_one_parse_returns_what_the_row_reader_returns(self, csv_dir, text):
         path = csv_dir / "cells.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:

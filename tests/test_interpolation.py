@@ -298,20 +298,3 @@ class TestEvaluate:
         for _ in range(5):
             q = rng.random(3)
             assert s(q) == pytest.approx(s_shifted(q + shift), abs=1e-10)
-
-
-class TestJson:
-    def test_round_trip(self):
-        rng = np.random.default_rng(36)
-        x = rng.random((5, 2))
-        f = rng.standard_normal(5)
-        s = fit(x, f, 1.5)
-        text = interpolation.to_json(s)
-        back = interpolation.from_json(text)
-        assert np.allclose(back.coefficients, s.coefficients)
-        assert np.array_equal(back.centers.points, s.centers.points)
-        assert back.p == s.p
-        assert back.condition_estimate == s.condition_estimate
-        assert back.guaranteed is s.guaranteed is True
-        q = np.array([0.25, 0.75])
-        assert back(q) == pytest.approx(s(q), rel=1e-15)

@@ -14,7 +14,6 @@ from pnormdist.profiles import (
     SQUARED_DISTANCE,
     STRICTLY_CND1,
     compose,
-    evaluate,
     exponential,
     from_json_dict,
     identity,
@@ -22,7 +21,6 @@ from pnormdist.profiles import (
     multiquadric,
     power,
     predict,
-    to_json_dict,
 )
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -30,21 +28,21 @@ UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 class TestEvaluate:
     def test_power_half_at_four(self):
-        assert evaluate(power(0.5), 4.0) == 2.0
+        assert power(0.5)(4.0) == 2.0
 
     def test_multiquadric_at_zero(self):
-        assert evaluate(multiquadric(), 0.0) == 1.0
+        assert multiquadric()(0.0) == 1.0
 
     def test_exponent_cancellation_recovers_identity_on_squares(self):
         # power(1/p) o power(p/2) applied to s^2 gives s back
         for p in (0.8, 1.5, 3.0):
             comp = compose(power(1.0 / p), power(p / 2.0))
             for s in (0.0, 0.3, 1.0, 7.5):
-                assert evaluate(comp, s * s) == pytest.approx(s, rel=1e-13, abs=1e-15)
+                assert comp(s * s) == pytest.approx(s, rel=1e-13, abs=1e-15)
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            evaluate(identity(), -0.1)
+            identity()(-0.1)
 
     def test_overflowing_values_name_the_profile_and_p(self):
         # 2^500 is a double, its cube is not
@@ -69,7 +67,7 @@ class TestEvaluate:
         left = compose(h, compose(g, f))
         right = compose(compose(h, g), f)
         for t in np.linspace(0.0, 5.0, 13):
-            assert evaluate(left, t) == pytest.approx(evaluate(right, t), rel=1e-15)
+            assert left(t) == pytest.approx(right(t), rel=1e-15)
 
 
 # (profile, family): each row one catalog fact of the completely-monotonic-
@@ -228,19 +226,31 @@ class TestMatrixFromProfile:
 
 
 class TestJson:
-    def test_round_trip_simple(self):
-        for prof in (identity(), power(0.5), multiquadric(), exponential()):
-            assert from_json_dict(to_json_dict(prof)) == prof
+    def test_leaf_expressions(self):
+        # tau as a number or as the decimal string of the CLI shorthand
+        assert from_json_dict({"kind": "identity"}) == identity()
+        assert from_json_dict({"kind": "power", "tau": 0.5}) == power(0.5)
+        assert from_json_dict({"kind": "power", "tau": "0.5"}) == power(0.5)
+        assert from_json_dict({"kind": "multiquadric"}) == multiquadric()
+        assert from_json_dict({"kind": "exponential"}) == exponential()
 
-    def test_round_trip_composition_and_convention(self):
-        comp = compose(power(0.5), power(0.75, PTH_POWER_DISTANCE))
-        d = to_json_dict(comp)
-        assert d == {
+    def test_composition_and_convention_expressions(self):
+        d = {
             "kind": "composition",
             "outer": {"kind": "power", "tau": 0.5},
             "inner": {"kind": "power", "tau": 0.75, "input_convention": PTH_POWER_DISTANCE},
         }
-        assert from_json_dict(d) == comp
+        assert from_json_dict(d) == compose(power(0.5), power(0.75, PTH_POWER_DISTANCE))
+        # a composition's own convention overrides the one it takes from inner
+        d["input_convention"] = SQUARED_DISTANCE
+        assert from_json_dict(d) == compose(
+            power(0.5), power(0.75, PTH_POWER_DISTANCE), SQUARED_DISTANCE
+        )
+
+    def test_convention_defaults_to_distance(self):
+        assert from_json_dict({"kind": "power", "tau": 0.5}).input_convention == DISTANCE
+        expr = {"kind": "power", "tau": 0.5, "input_convention": SQUARED_DISTANCE}
+        assert from_json_dict(expr) == power(0.5, SQUARED_DISTANCE)
 
     @pytest.mark.parametrize(
         "expr",
@@ -271,7 +281,3 @@ class TestJson:
     def test_malformed_expression_raises_value_error(self, expr):
         with pytest.raises(ValueError):
             from_json_dict(expr)
-
-    def test_explicit_convention_emitted_only_when_nondefault(self):
-        assert "input_convention" not in to_json_dict(power(0.5))
-        assert to_json_dict(power(0.5, SQUARED_DISTANCE))["input_convention"] == SQUARED_DISTANCE

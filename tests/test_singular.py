@@ -251,8 +251,8 @@ class TestCubeConfig:
         p = 2.6
         cfg = cube_config(2, 3, 1.0, p)
         a, b = 2.0 ** (-1.0 / p), 3.0 ** (-1.0 / p)
-        first = cfg.points.points[: cfg.first_count]
-        second = cfg.points.points[cfg.first_count :]
+        first = cfg.points.points[: 2**cfg.m]
+        second = cfg.points.points[2**cfg.m :]
         assert first.shape == (4, 5) and second.shape == (8, 5)
         assert np.all(np.abs(np.abs(first[:, :2]) - a) < 1e-15)
         assert np.all(first[:, 2:] == 0.0)
@@ -273,7 +273,7 @@ class TestCubeConfig:
     def test_within_cube_sums_match_closed_form(self):
         p, m = 2.4, 3
         cfg = cube_config(m, 2, 1.0, p)
-        first = cfg.points.points[: cfg.first_count]
+        first = cfg.points.points[: 2**cfg.m]
         expected = 2.0 * sum(
             math.comb(m, k) * (k / m) ** (1.0 / p) for k in range(m + 1)
         )
@@ -283,7 +283,7 @@ class TestCubeConfig:
 
     def test_scaled_cube_distinct_and_sized(self):
         cfg = cube_config(2, 2, 0.5, 4.0)
-        assert cfg.points.is_distinct()
+        assert cfg.points.first_coincident_pair() is None
         assert cfg.points.n == 8
 
     def test_side_cap(self):
@@ -554,7 +554,7 @@ class TestCertification:
         cfg = cube_config(m, n, theta, p)
         A = build_distance_matrix(cfg.points, p).entries
         rs = reduced_system(m, n, theta, p)
-        f = cfg.first_count
+        f = 2**cfg.m
         cross = (1.0 + theta**p) ** (1.0 / p)
         assert np.abs(A[:f, f:] - cross).max() <= 1e-12 * cross
         for rows, expected in ((slice(None, f), rs[0]), (slice(f, None), rs[1])):
