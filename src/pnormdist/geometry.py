@@ -8,10 +8,10 @@ supported.
 sum_k |a_ik - b_jk|^p. It works through the rows of `a` in blocks of about
 BLOCK_BYTES of coordinate differences, so a caller holds its output plus one
 block. A block is laid out coordinate-major, (d, rows, m), so every ufunc
-runs over contiguous rows of length m rather than of length d; the sum over
-k is taken in numpy's pairwise order, so it equals `.sum(axis=-1)` of the
-(rows, m, d) layout bit for bit. Distance matrices are assembled from its
-upper blocks and mirrored, so they are bitwise symmetric by construction.
+runs over contiguous rows of length m rather than of length d, and the
+coordinate planes are added in index order, k = 0, 1, ..., d-1. Distance
+matrices are assembled from its upper blocks and mirrored, so they are
+bitwise symmetric by construction.
 `distances_from_power_sums` is the one place that takes their roots.
 
 File formats owned by this module: points are CSV with one point per row and
@@ -165,30 +165,6 @@ def pnorm(v, p: float) -> float:
     return float(norm)
 
 
-def _sum_leading(terms: np.ndarray) -> np.ndarray:
-    """terms.sum(axis=0), added in the order numpy's pairwise summation uses
-    along a contiguous axis: sequential below 8 terms, eight accumulators up
-    to 128, and a split at a multiple of 8 beyond. The terms are >= 0, so the
-    reduction's 0.0 start changes nothing.
-    """
-    d = terms.shape[0]
-    if d > 128:
-        half = d // 2 - (d // 2) % 8
-        return _sum_leading(terms[:half]) + _sum_leading(terms[half:])
-    if d < 8:
-        out = terms[0].copy()
-        tail = terms[1:]
-    else:
-        r = terms[:8].copy()
-        for i in range(8, d - d % 8, 8):
-            r += terms[i : i + 8]
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        tail = terms[d - d % 8 :]
-    for t in tail:
-        out += t
-    return out
-
-
 def distances_from_power_sums(sums: np.ndarray, p: float, squared: bool = False) -> np.ndarray:
     """s^(1/p), the p-norm distances of power sums s, or s^(2/p) with squared=True.
 
@@ -212,9 +188,9 @@ def power_sum_blocks(
     of `a` cover it in order. With b=None the blocks are the
     upper ones, a[start:stop] against a[start:], so sums[i, j] pairs rows
     start+i and start+j of `a`. Each block's differences are held
-    coordinate-major, (d, rows, m), and summed over k in numpy's pairwise
-    order, so sums equals `pow_abs(diffs, p).sum(axis=-1)` of the (rows, m, d)
-    layout bit for bit. Raises ValueError when a sum overflows a
+    coordinate-major, (d, rows, m), and summed over k in index order; the
+    terms are >= 0, so each sum's relative error is at most about
+    (d-1) * 2^-53. Raises ValueError when a sum overflows a
     double, or falls below the normal double range for two rows that
     differ: the first turns a distance into inf, the second into 0 or a
     subnormal with too few significant bits, and the verdicts built on
@@ -231,7 +207,10 @@ def power_sum_blocks(
         other = bt[:, start:] if upper else bt
         with np.errstate(over="ignore"):
             diffs = at[:, :, None] - other[:, None, :]
-            sums = _sum_leading(pow_abs(diffs, p))
+            terms = pow_abs(diffs, p)
+            sums = terms[0].copy()
+            for term in terms[1:]:
+                sums += term
         if not sums.max() < np.inf:
             raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
         if diffs[:, sums < np.finfo(float).tiny].any():
@@ -275,6 +254,15 @@ def build_distance_matrix(
 # CSV formats
 
 
+def _quote(cell: str) -> str:
+    """The stripped cell's repr for an error text; a cell longer than 40
+    characters is shown as its first 20 and its length."""
+    cell = cell.strip()
+    if len(cell) <= 40:
+        return repr(cell)
+    return f"{cell[:20] + '…'!r} ({len(cell)} characters)"
+
+
 def _read_rows(path) -> list[list[float]]:
     rows = []
     width = None
@@ -295,11 +283,11 @@ def _read_rows(path) -> list[list[float]]:
                         vals.append(float(cell))
                     except ValueError:
                         raise InputError(
-                            f"{path}:{lineno}: column {col}: not a number: {cell.strip()!r}"
+                            f"{path}:{lineno}: column {col}: not a number: {_quote(cell)}"
                         ) from None
                     if not math.isfinite(vals[-1]):
                         raise InputError(
-                            f"{path}:{lineno}: column {col}: not a finite number: {cell.strip()!r}"
+                            f"{path}:{lineno}: column {col}: not a finite number: {_quote(cell)}"
                         )
                 if width is None:
                     width = len(vals)

@@ -48,11 +48,19 @@ def criterion(num, name):
     print(f"criterion {num:02d}: PASS - {name}")
 
 
+def in_order_sum(terms):
+    """terms summed over the last axis in index order, one coordinate at a time."""
+    out = terms[..., 0].copy()
+    for k in range(1, terms.shape[-1]):
+        out += terms[..., k]
+    return out
+
+
 def pth_power_matrix(x, p):
     n = x.shape[0]
     A = np.zeros((n, n))
     iu, ju = np.triu_indices(n, 1)
-    vals = pow_abs(x[iu] - x[ju], p).sum(axis=1)
+    vals = in_order_sum(pow_abs(x[iu] - x[ju], p))
     A[iu, ju] = vals
     A[ju, iu] = vals
     return A

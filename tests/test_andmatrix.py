@@ -31,6 +31,12 @@ UNIT_SQUARE_RESTRICTED_EIGS = np.array([0.0, 2.0, 6.0])
 # lambda_k = w^k + 2 w^2k + w^3k over the 4th roots of unity
 UNIT_SQUARE_EIGS = np.array([-2.0, -2.0, 0.0, 4.0])
 
+# the upper triangle of a symmetric matrix with an eigenvalue of about +1e-16
+# beside four of order 1
+TINY_EIGENVALUE = np.array(
+    [[0, 0, 1, 0, 1e-8], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0.0] * 5, [0.0] * 5]
+)
+
 
 def lemma_basis(n: int) -> np.ndarray:
     """Columns f^i = e^n - e^i (i < n), f^n = e^n."""
@@ -261,6 +267,8 @@ class TestLdlFactor:
     )
     # a 2x2 pivot block whose determinant -x^2 underflows to a subnormal
     @example(m=np.array([[0.0, 4.48586106e-159], [4.48586106e-159, 0.0]]), zero_diagonal=True)
+    # an eigenvalue of about +1e-16 that eigvalsh reports as -1e-16
+    @example(m=TINY_EIGENVALUE, zero_diagonal=False)
     def test_matches_slogdet_and_eigvalsh(self, m, zero_diagonal):
         # a zero diagonal (the distance-matrix case) forces 2x2 pivots
         A = np.triu(m) + np.triu(m, 1).T
@@ -273,8 +281,19 @@ class TestLdlFactor:
         assert sign == ref_sign
         # log|det| is perturbed by about cond(A) * eps in either computation
         assert logmag == pytest.approx(ref_logmag, abs=1e-10 * max(1.0, np.linalg.cond(A)))
+        # eigvalsh fixes the sign of an eigenvalue only when it is farther from
+        # zero than its backward error, a small multiple of eps * |A|max
+        eigs = np.linalg.eigvalsh(A)
+        if np.abs(eigs).min() > 1e-8 * np.abs(A).max():
+            _, _, pivots = ldl_factor(A)
+            assert np.count_nonzero(pivots < 0) == np.count_nonzero(eigs < 0)
+
+    def test_inertia_beside_a_tiny_eigenvalue(self):
+        # A's eigenvalues are -1, 1, about (1 - sqrt 5)/2 and (1 + sqrt 5)/2, and
+        # about +1e-16, since det A = -1e-16: exactly two are negative
+        A = np.triu(TINY_EIGENVALUE) + np.triu(TINY_EIGENVALUE, 1).T
         _, _, pivots = ldl_factor(A)
-        assert np.count_nonzero(pivots < 0) == np.count_nonzero(np.linalg.eigvalsh(A) < 0)
+        assert np.count_nonzero(pivots < 0) == 2
 
 
 class TestDetSignCertificate:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_acceptance import pth_power_matrix
+from test_acceptance import in_order_sum, pth_power_matrix
 from test_cli import assert_input_error
 
 from pnormdist import geometry
@@ -228,7 +228,7 @@ class TestBuildDistanceMatrix:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 300),
-        d=st.integers(1, 6),
+        d=st.integers(1, 20),
         p=st.floats(0.5, 4.0, exclude_min=True),
         profile=st.sampled_from([None, multiquadric()]),
         grid=st.booleans(),
@@ -277,8 +277,9 @@ class TestPowerSumBlocks:
         grid=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    # the sum over coordinates is sequential below d = 8, runs on eight
-    # accumulators up to d = 128 and splits in two beyond
+    # numpy's own sum over coordinates is sequential below d = 8, runs on
+    # eight accumulators up to d = 128 and splits in two beyond; the kernel's
+    # stays in index order on either side of each threshold
     @example(n=5, m=4, d=7, p=1.5, grid=False, seed=0)
     @example(n=5, m=4, d=8, p=1.5, grid=False, seed=0)
     @example(n=5, m=4, d=9, p=0.7, grid=True, seed=1)
@@ -287,7 +288,8 @@ class TestPowerSumBlocks:
     @example(n=4, m=3, d=128, p=1.25, grid=False, seed=4)
     @example(n=25, m=50, d=129, p=1.75, grid=False, seed=5)  # 3 blocks, last partial
     @example(n=23, m=60, d=200, p=1.5, grid=False, seed=6)  # 5 blocks, last partial
-    def test_bitwise_equal_to_coordinate_last_sum(self, n, m, d, p, grid, seed):
+    @example(n=1, m=1, d=37, p=1.5, grid=False, seed=7)  # numpy's axis-0 sum is pairwise here
+    def test_bitwise_equal_to_in_order_sum(self, n, m, d, p, grid, seed):
         rng = np.random.default_rng(seed)
 
         def draw(k):
@@ -296,13 +298,13 @@ class TestPowerSumBlocks:
             return rng.standard_normal((k, d))
 
         a, b = draw(n), draw(m)
-        expected = pow_abs(a[:, None, :] - b[None, :, :], p).sum(axis=-1)
+        expected = in_order_sum(pow_abs(a[:, None, :] - b[None, :, :], p))
         blocks = list(power_sum_blocks(a, b, p))
         assert [start for start, _, _ in blocks] == [0] + [stop for _, stop, _ in blocks[:-1]]
         assert blocks[-1][1] == n
         assert np.array_equal(np.vstack([sums for _, _, sums in blocks]), expected)
 
-        expected = pow_abs(a[:, None, :] - a[None, :, :], p).sum(axis=-1)
+        expected = in_order_sum(pow_abs(a[:, None, :] - a[None, :, :], p))
         iu, ju = np.triu_indices(n)
         upper = np.zeros((n, n))
         for start, stop, sums in power_sum_blocks(a, None, p):
