@@ -186,10 +186,6 @@ class Embedding:
     vectors: np.ndarray
     residual: float
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
     def squared_distances(self) -> np.ndarray:
         G = self.vectors @ self.vectors.T
         sq = np.diag(G)[:, None] + np.diag(G)[None, :] - 2.0 * G

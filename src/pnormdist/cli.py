@@ -40,7 +40,10 @@ def parse_profile(text: str) -> profiles.RadialProfile:
     """Parse a profile flag: JSON, or the NAME[:PARAM][@CONVENTION] shorthand for it."""
     text = text.strip()
     if text.startswith("{"):
-        return profiles.from_json_dict(json.loads(text))
+        try:
+            return profiles.from_json_dict(json.loads(text))
+        except RecursionError:  # json.loads gives out near 990 levels, before the parser's bound
+            raise InputError("profile expression nested too deeply to parse") from None
     body, at, convention = text.partition("@")
     name, colon, param = body.partition(":")
     expr = {"kind": name}
@@ -87,16 +90,12 @@ def cmd_distmat(args) -> int:
     return EXIT_OK
 
 
-def _load_matrix_for_check(args) -> np.ndarray:
-    if args.kind == "matrix":
-        return read_matrix_csv(args.input)
-    pts = read_points_csv(args.input)
-    profile = parse_profile(args.profile)
-    return build_distance_matrix(pts, args.p, profile).entries
-
-
 def cmd_check_and(args) -> int:
-    A = _load_matrix_for_check(args)
+    if args.kind == "matrix":
+        A = read_matrix_csv(args.input)
+    else:
+        pts = read_points_csv(args.input)
+        A = build_distance_matrix(pts, args.p, parse_profile(args.profile)).entries
     report = check_and(A)
     record = report.to_json_dict()
     print(serialize.dumps(record))
@@ -109,7 +108,8 @@ def cmd_embed(args) -> int:
     A = read_matrix_csv(args.matrix)
     emb = schoenberg_embed(A)
     write_points_csv(args.out, emb.vectors)
-    print(serialize.dumps({"n": emb.n, "dimension": emb.vectors.shape[1], "residual": emb.residual}))
+    n, dimension = emb.vectors.shape
+    print(serialize.dumps({"n": n, "dimension": dimension, "residual": emb.residual}))
     return EXIT_OK
 
 
@@ -152,7 +152,10 @@ def cmd_singular_config(args) -> int:
             raise InputError(f"m and n must be >= 2, got m={args.m}, n={args.n}")
         root = singular.find_pmn(args.m, args.n)
         config = singular.cube_config(args.m, args.n, theta=1.0, p=root.value)
-    record = singular.certify_singular(config, side_cap=args.cert_cap)
+    if max(config.m, config.n) > args.cert_cap:
+        capped = f"full-matrix certification capped at side {args.cert_cap}"
+        raise InputError(f"{capped} (got m={config.m}, n={config.n}); pass --cert-cap to override")
+    record = singular.certify_singular(config)
     write_points_csv(args.out_points, config.points)
     serialize.write_json(args.out_cert, record.to_json_dict())
     print(serialize.dumps(record.to_json_dict()))
@@ -197,6 +200,8 @@ def cmd_scan_psi(args) -> int:
         raise InputError(f"--n must be a comma-separated list of integers: {args.n!r}") from None
     if not ns or any(n < 1 for n in ns):
         raise InputError("--n needs at least one integer >= 1")
+    if len(set(ns)) < len(ns):  # the CSV would repeat a column that the JSON keys merge
+        raise InputError(f"--n lists {max(ns, key=ns.count)} more than once")
     grid = _parse_grid(args.p_grid)
     rows = []
     if len(grid):  # an empty grid evaluates nothing, so it checks no degree either
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--cert-cap",
         type=int,
-        default=singular.DEFAULT_CERT_SIDE_CAP,
+        default=5,  # full matrices up to 2^5 + 2^5 = 64 points
         help="largest cube side certified on the full matrix (default %(default)d)",
     )
     sp.set_defaults(func=cmd_singular_config)

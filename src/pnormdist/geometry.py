@@ -19,7 +19,8 @@ d float columns (no header); matrices are CSV with n rows of n floats. A
 cell is anything Python's float() reads, underscores between digits
 included, and may be quoted; blank lines, whitespace-only lines and rows of
 empty cells are skipped; a non-finite cell is rejected with its line and
-column. A well-formed file (ASCII decimal cells, finite, the same count on
+column; a file that is not UTF-8 is rejected with the offset of its first
+bad byte. A well-formed file (ASCII decimal cells, finite, the same count on
 every line) is parsed in one vectorised `np.loadtxt` call; any other file is
 read row by row, which gives the same values and words every error.
 """
@@ -27,8 +28,8 @@ read row by row, which gives the same values and words every error.
 from __future__ import annotations
 
 import csv
+import io
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
@@ -102,20 +103,12 @@ def as_point_set(x: PointsLike) -> PointSet:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric n x n matrix of profile values of pairwise p-norm distances."""
+    """Symmetric n x n matrix of profile values of pairwise p-norm distances.
+
+    `build_distance_matrix` makes it, from a read-only array it does not copy.
+    """
 
     entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must be square, got shape {arr.shape}")
-        if arr.flags.writeable or not arr.flags.owndata:
-            # a read-only array that owns its memory is kept as is, so an
-            # n x n matrix is not held twice while it is built
-            arr = np.array(arr, copy=True)
-            arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
 
     @property
     def n(self) -> int:
@@ -266,38 +259,41 @@ def _quote(cell: str) -> str:
 def _read_rows(path) -> list[list[float]]:
     rows = []
     width = None
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        # csv rejects a cell longer than its field size limit (131072
-        # characters by default), and np.loadtxt does not. No cell is longer
-        # than the file, so the limit is raised to the file's size while it is
-        # read, and both readers take the same cells
-        limit = csv.field_size_limit()
-        csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
-        try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or all(cell.strip() == "" for cell in row):
-                    continue  # tolerate blank lines
-                vals = []
-                for col, cell in enumerate(row, start=1):
-                    try:
-                        vals.append(float(cell))
-                    except ValueError:
-                        raise InputError(
-                            f"{path}:{lineno}: column {col}: not a number: {_quote(cell)}"
-                        ) from None
-                    if not math.isfinite(vals[-1]):
-                        raise InputError(
-                            f"{path}:{lineno}: column {col}: not a finite number: {_quote(cell)}"
-                        )
-                if width is None:
-                    width = len(vals)
-                elif len(vals) != width:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        raise InputError(f"{path}: not UTF-8 text: {bad}") from None
+    # csv rejects a cell longer than its field size limit (131072 characters by
+    # default) and np.loadtxt does not; no cell is longer than the text, so the
+    # limit is raised to its length while it is read and both take the same cells
+    limit = csv.field_size_limit()
+    csv.field_size_limit(max(limit, len(text)))
+    try:
+        for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue  # tolerate blank lines
+            vals = []
+            for col, cell in enumerate(row, start=1):
+                try:
+                    vals.append(float(cell))
+                except ValueError:
                     raise InputError(
-                        f"{path}:{lineno}: expected {width} columns, got {len(vals)}"
+                        f"{path}:{lineno}: column {col}: not a number: {_quote(cell)}"
+                    ) from None
+                if not math.isfinite(vals[-1]):
+                    raise InputError(
+                        f"{path}:{lineno}: column {col}: not a finite number: {_quote(cell)}"
                     )
-                rows.append(vals)
-        finally:
-            csv.field_size_limit(limit)
+            if width is None:
+                width = len(vals)
+            elif len(vals) != width:
+                raise InputError(f"{path}:{lineno}: expected {width} columns, got {len(vals)}")
+            rows.append(vals)
+    finally:
+        csv.field_size_limit(limit)
     if not rows:
         raise InputError(f"{path}: no data rows")
     return rows
@@ -307,10 +303,10 @@ def _read_array(path) -> np.ndarray:
     """The cells of a CSV file as a 2-d float array, equal bit for bit to
     `np.array(_read_rows(path))`, or the error `_read_rows` raises.
 
-    `np.loadtxt` reads from a handle opened as `_read_rows` opens one, so a
-    missing file raises the same OSError, and with comments=None, so a '#'
-    line is not skipped. A file it rejects, one with no data rows and one with
-    a non-finite cell are read again by `_read_rows`.
+    A missing file raises `open`'s OSError, as in `_read_rows`. `np.loadtxt`
+    reads with comments=None, so a '#' line is not skipped. A file it
+    rejects (one that is not UTF-8 included), one with no data rows and one
+    with a non-finite cell are read again by `_read_rows`.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh, warnings.catch_warnings():
@@ -326,11 +322,7 @@ def _read_array(path) -> np.ndarray:
 
 def read_points_csv(path) -> PointSet:
     """Read points from CSV (one point per row, d float columns, no header)."""
-    arr = _read_array(path)  # its errors already name the file
-    try:
-        return PointSet(arr)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return PointSet(_read_array(path))  # a 2-d, non-empty, finite array; its errors name the file
 
 
 def write_points_csv(path, points: PointsLike) -> None:

@@ -273,6 +273,7 @@ def matrix_from_profile(x: PointsLike, p: float, profile: RadialProfile) -> Prof
 
 _LEAVES = {"identity": identity, "multiquadric": multiquadric, "exponential": exponential}
 _PARAMETERS = {**dict.fromkeys(_LEAVES, ()), "power": ("tau",), "composition": ("outer", "inner")}
+MAX_PROFILE_DEPTH = 100  # expression levels; evaluation recurses far below Python's limit
 
 
 def from_json_dict(obj) -> RadialProfile:
@@ -281,8 +282,15 @@ def from_json_dict(obj) -> RadialProfile:
     An expression holds "kind", an optional "input_convention" and exactly
     the parameters of its kind: "tau" for power (a number, or the decimal
     string the CLI shorthand NAME[:PARAM][@CONVENTION] passes), "outer" and
-    "inner" for composition.
+    "inner" for composition. It nests at most MAX_PROFILE_DEPTH levels deep.
     """
+    return _from_expression(obj, MAX_PROFILE_DEPTH)
+
+
+def _from_expression(obj, levels: int) -> RadialProfile:
+    """`from_json_dict` for an expression that may nest `levels` levels deep."""
+    if levels == 0:
+        raise ValueError(f"profile expression nested deeper than {MAX_PROFILE_DEPTH} levels")
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in _PARAMETERS:
         raise ValueError(f"not a profile expression: {obj!r} (kinds: {', '.join(_PARAMETERS)})")
@@ -291,7 +299,8 @@ def from_json_dict(obj) -> RadialProfile:
         raise ValueError(f"{kind} profile takes {' and '.join(params) or 'no parameter'}: {obj!r}")
     convention = obj.get("input_convention")
     if kind == "composition":
-        return compose(from_json_dict(obj["outer"]), from_json_dict(obj["inner"]), convention)
+        outer, inner = (_from_expression(obj[key], levels - 1) for key in ("outer", "inner"))
+        return compose(outer, inner, convention)
     convention = DISTANCE if convention is None else convention
     if kind != "power":
         return _LEAVES[kind](convention)

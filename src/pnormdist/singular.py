@@ -51,9 +51,8 @@ from .errors import CertificationError
 from .geometry import BLOCK_BYTES, PointSet, build_distance_matrix, finite_positive
 
 MAX_BERNSTEIN_DEGREE = 50  # binomials C(k, j) stay exact in doubles through here
-MAX_CUBE_SIDE = 12  # cube pairs up to 2^12 + 2^12 points
+MAX_CUBE_SIDE = 12  # the one bound on a cube pair: 2^12 + 2^12 points, a 512 MiB matrix
 CERT_TOL = 1e-8  # largest relative null residual of a singularity certificate
-DEFAULT_CERT_SIDE_CAP = 5  # full matrices up to 2^5 + 2^5 = 64 points
 REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
 _SCALAR_POWER_SHORTCUTS = (0.5, 1.0, 2.0)  # exponents 1/p that np.power special-cases
 
@@ -344,9 +343,7 @@ class CertificationRecord:
         }
 
 
-def certify_singular(
-    config: CubeConfig, side_cap: int = DEFAULT_CERT_SIDE_CAP
-) -> CertificationRecord:
+def certify_singular(config: CubeConfig) -> CertificationRecord:
     """End-to-end singularity certificate for a cube configuration at a root.
 
     Builds the full (2^m + 2^n)-point p-norm distance matrix A and first
@@ -361,19 +358,17 @@ def certify_singular(
     partitioned by the cubes, so by Perron-Frobenius sigma_max is the Perron
     root of the 2x2 reduced matrix and no SVD is taken. Raises
     CertificationError on failure (a reduction bug or a root residual too
-    large). The side cap bounds the 2^m + 2^n matrix work; raise it
-    explicitly for larger cubes.
+    large). Any pair `cube_config` builds is certified; beside A, its checks
+    hold O(2^m + 2^n) values.
     """
-    if max(config.m, config.n) > side_cap:
-        raise ValueError(
-            f"full-matrix certification capped at side {side_cap} (got m={config.m}, "
-            f"n={config.n}); pass side_cap (--cert-cap on the CLI) to override"
-        )
     A = build_distance_matrix(config.points, config.p).entries
     rs = reduced_system(config.m, config.n, config.theta, config.p)
     first, second = 2**config.m, 2**config.n
     cross = rs[0, 1] / second  # exact: the entry is 2^n (1 + theta^p)^(1/p)
-    cross_dev = float(np.abs(A[:first, first:] - cross).max()) / cross
+    block = A[:first, first:]
+    # = |block - cross|.max() bit for bit (fl(x - cross) is monotone in x),
+    # without a temporary the size of the block
+    cross_dev = max(float(block.max()) - cross, cross - float(block.min())) / cross
     sums = np.stack([A[:, :first].sum(axis=1), A[:, first:].sum(axis=1)], axis=1)
     expected = np.repeat(rs, [first, second], axis=0)
     sums_dev = float((np.abs(sums - expected) / expected).max())

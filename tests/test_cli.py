@@ -147,6 +147,17 @@ class TestProfileFlag:
         argv = ["distmat", str(square_file), "--p", "1.5", "--profile", flag, "--out", str(out)]
         assert_input_error(capsys, argv)
 
+    @pytest.mark.parametrize("depth", [980, 20_000])
+    def test_deeply_nested_composition_exit_2(self, tmp_path, capsys, square_file, depth):
+        # the JSON parser gives out near 990 levels; the expression parser stops at 100
+        flag = '{"kind":"composition","outer":{"kind":"identity"},"inner":' * depth
+        flag += '{"kind":"identity"}' + "}" * depth
+        out = tmp_path / "mat.csv"
+        argv = ["distmat", str(square_file), "--p", "1.5", "--profile", flag, "--out", str(out)]
+        err = assert_input_error(capsys, argv)
+        assert "nested" in err
+        assert not out.exists()
+
 
 class TestToleranceFlags:
     """Tolerances are module constants: no subcommand reads a tolerance flag."""
@@ -351,6 +362,12 @@ class TestSingularConfig:
         assert "capped at side 5" in err
         assert "--cert-cap" in err
 
+    def test_side_13_gets_the_cube_bound_before_the_cap(self, tmp_path, capsys):
+        argv = ["singular-config", "--n", "13", "--p", "3",
+                "--out-points", str(tmp_path / "pts.csv"), "--out-cert", str(tmp_path / "c.json")]
+        err = assert_input_error(capsys, argv)
+        assert err == "error: m and n must be in [1, 12], got m=13, n=13\n"
+
     def test_cert_json_round_trip(self, tmp_path):
         outp, outc = tmp_path / "pts.csv", tmp_path / "cert.json"
         main(["singular-config", "--m", "2", "--n", "3",
@@ -488,6 +505,15 @@ class TestScanPsi:
         argv = ["scan-psi", "--n", "2", "--p-grid=2:9223372036854775807:1", "--out", str(out)]
         err = assert_input_error(capsys, argv)
         assert "has 9223372036854775808 points, more than memory holds" in err
+
+    def test_repeated_n_exit_2(self, tmp_path, capsys):
+        # the CSV would hold two psi_2 columns and each JSON row one psi_2 key
+        out, jout = tmp_path / "psi.csv", tmp_path / "psi.json"
+        argv = ["scan-psi", "--n", "2,3,2", "--p-grid", "2:2.1:0.05",
+                "--out", str(out), "--json-out", str(jout)]
+        err = assert_input_error(capsys, argv)
+        assert err == "error: --n lists 2 more than once\n"
+        assert not out.exists() and not jout.exists()
 
     def test_json_output(self, tmp_path):
         out, jout = tmp_path / "psi.csv", tmp_path / "psi.json"

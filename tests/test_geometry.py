@@ -344,6 +344,20 @@ class TestCsv:
             read_matrix_csv(path)
         assert str(info.value) == f"{path}:2: column 2: not a finite number: {cell!r}"
 
+    @pytest.mark.parametrize("read", [read_points_csv, read_matrix_csv])
+    @pytest.mark.parametrize(
+        "data, byte, offset",
+        [(b"\xff\xfe1,2\n", 0xFF, 0), (b"1,2\n" * 3000 + b"3,\xe94\n", 0xE9, 12002)],
+        ids=["first-byte", "past-8-kib"],
+    )
+    def test_non_utf8_file_reports_path_and_offset(self, tmp_path, read, data, byte, offset):
+        # the second bad byte lies past the first 8 KiB a text-mode read decodes at once
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(InputError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: byte 0x{byte:02x} at offset {offset}"
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1.0,2.0\n1.0\n")

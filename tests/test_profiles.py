@@ -281,3 +281,18 @@ class TestJson:
     def test_malformed_expression_raises_value_error(self, expr):
         with pytest.raises(ValueError):
             from_json_dict(expr)
+
+    def test_nesting_is_bounded(self):
+        def nested(levels):
+            expr = {"kind": "power", "tau": 0.5}
+            for _ in range(levels - 1):
+                outer = {"kind": "power", "tau": 0.9}
+                expr = {"kind": "composition", "outer": outer, "inner": expr}
+            return expr
+
+        deepest = from_json_dict(nested(profiles.MAX_PROFILE_DEPTH))
+        assert deepest.family == STRICTLY_CND1
+        assert deepest(1.0) == 1.0
+        build_distance_matrix(UNIT_SQUARE, 1.5, deepest)  # evaluated with room to spare
+        with pytest.raises(ValueError, match="nested deeper than 100 levels"):
+            from_json_dict(nested(profiles.MAX_PROFILE_DEPTH + 1))

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,10 +499,17 @@ class TestCertification:
         with pytest.raises(CertificationError):
             certify_singular(cfg)
 
-    def test_side_cap_enforced(self):
-        cfg = cube_config(6, 6, 1.0, 2.1)
-        with pytest.raises(ValueError, match="side_cap"):
-            certify_singular(cfg)
+    def test_peak_memory_is_the_matrix_plus_2_mib(self):
+        # side 9: A holds 1024 x 1024 doubles, 8 MiB; the checks beside it hold vectors
+        cfg = cube_config(9, 9, find_theta(9, 3.0).value, 3.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert certify_singular(cfg).passed
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 + 2) * 2**20
 
     def test_nudged_vertex_fails_the_reduction_check(self):
         cfg = cube_config(2, 2, 1.0, find_pn(2).value)
@@ -518,7 +526,7 @@ class TestCertification:
         pn = find_pn(n).value
         p = pn + u * (12.0 - pn)
         cfg = cube_config(n, n, find_theta(n, p).value, p)
-        assert certify_singular(cfg, side_cap=6).passed
+        assert certify_singular(cfg).passed
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(2, 6), n=st.integers(2, 6), u=st.none() | st.floats(1e-12, 1.0))
@@ -530,7 +538,7 @@ class TestCertification:
             pn = find_pn(n).value
             p = pn + u * (12.0 - pn)
             cfg = cube_config(n, n, find_theta(n, p).value, p)
-        rec = certify_singular(cfg, side_cap=6)
+        rec = certify_singular(cfg)
         svals = np.linalg.svd(build_distance_matrix(cfg.points, cfg.p).entries, compute_uv=False)
         assert rec.sigma_max == pytest.approx(svals[0], rel=1e-12)
         assert svals[-1] / svals[0] <= singular.CERT_TOL
