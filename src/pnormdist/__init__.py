@@ -26,7 +26,6 @@ from .geometry import (
     DistanceMatrix,
     PointSet,
     build_distance_matrix,
-    pnorm,
     read_matrix_csv,
     read_points_csv,
     write_matrix_csv,
@@ -93,7 +92,6 @@ __all__ = [
     "matrix_from_profile",
     "multiquadric",
     "phi",
-    "pnorm",
     "power",
     "psi",
     "psi_limit",

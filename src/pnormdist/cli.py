@@ -21,7 +21,7 @@ import numpy as np
 
 from . import interpolation, profiles, serialize, singular
 from .andmatrix import check_and, schoenberg_embed
-from .errors import CertificationError, InputError
+from .errors import CertificationError, InputError, quote
 from .geometry import (
     build_distance_matrix,
     read_matrix_csv,
@@ -58,22 +58,22 @@ def _parse_grid(spec: str) -> np.ndarray:
     """lo:hi:step, endpoints inclusive up to float fuzz; lo > hi gives an empty grid."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise InputError(f"grid must be lo:hi:step, got {spec!r}")
+        raise InputError(f"grid must be lo:hi:step, got {quote(spec)}")
     try:
         lo, hi, step = (float(v) for v in parts)
     except ValueError:
-        raise InputError(f"grid values must be numbers: {spec!r}") from None
+        raise InputError(f"grid values must be numbers: {quote(spec)}") from None
     if not all(map(math.isfinite, (lo, hi, step))):
-        raise InputError(f"grid values must be finite: {spec!r}")
+        raise InputError(f"grid values must be finite: {quote(spec)}")
     if step <= 0:
         raise InputError(f"grid step must be positive, got {step}")
     if lo > hi:
         return np.array([])
     count = np.floor((hi - lo) / step + 1e-9) + 1
     if not math.isfinite(count):
-        raise InputError(f"grid {spec!r} has more points than a float can count")
+        raise InputError(f"grid {quote(spec)} has more points than a float can count")
     count = int(count)
-    too_large = f"grid {spec!r} has {count} points, more than memory holds"
+    too_large = f"grid {quote(spec)} has {count} points, more than memory holds"
     if count > np.iinfo(np.intp).max:  # np.arange(2**63) returns an empty array
         raise InputError(too_large)
     try:
@@ -197,7 +197,9 @@ def cmd_scan_psi(args) -> int:
     try:
         ns = [int(v) for v in args.n.split(",") if v.strip()]
     except ValueError:
-        raise InputError(f"--n must be a comma-separated list of integers: {args.n!r}") from None
+        raise InputError(
+            f"--n must be a comma-separated list of integers: {quote(args.n)}"
+        ) from None
     if not ns or any(n < 1 for n in ns):
         raise InputError("--n needs at least one integer >= 1")
     if len(set(ns)) < len(ns):  # the CSV would repeat a column that the JSON keys merge

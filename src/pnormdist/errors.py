@@ -5,7 +5,19 @@ for malformed files/arguments, and `CertificationError` for numerical
 verdicts that came out wrong (a system that should be solvable is singular,
 a predicted matrix class is contradicted by the spectrum, a singularity
 certificate misses its tolerance).
+
+`quote` is the one way an error text shows a value that the user gave.
 """
+
+
+def quote(value) -> str:
+    """`repr(value)` for an error text; a value over 40 characters shows as its
+    first 20 and its length. A string is measured and cut before its repr is
+    taken, any other value (a parsed JSON object) as its repr."""
+    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
+    if len(text) <= 40:
+        return show(text)
+    return f"{show(text[:20] + '…')} ({len(text)} characters)"
 
 
 class InputError(ValueError):

@@ -1,4 +1,4 @@
-"""Points, p-norms, and distance-matrix assembly.
+"""Points, p-norm distances, and distance-matrix assembly.
 
 The p-norm ||v||_p = (sum |v_k|^p)^(1/p) is a norm for p >= 1 and a
 quasi-norm (triangle inequality fails) for 0 < p < 1; both ranges are
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, quote
 from .serialize import fmt_float
 
 if TYPE_CHECKING:
@@ -135,29 +135,6 @@ def pow_abs(values, p: float) -> np.ndarray:
     return out
 
 
-def pnorm(v, p: float) -> float:
-    """(sum_k |v_k|^p)^(1/p); returns 0 exactly iff v = 0.
-
-    Computed as m * ||v/m||_p with m = max_k |v_k|, so the power sum lies in
-    [1, dimension] and neither overflows nor underflows; raises ValueError
-    only when the norm itself is beyond the double range.
-    """
-    p = finite_positive(p)
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"v must be a 1-d vector of dimension >= 1, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("v must have finite coordinates")
-    m = np.abs(v).max()
-    if m == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        norm = m * pow_abs(v / m, p).sum() ** (1.0 / p)
-    if not np.isfinite(norm):
-        raise ValueError(f"the p-norm overflows a double at p = {p:g}")
-    return float(norm)
-
-
 def distances_from_power_sums(sums: np.ndarray, p: float, squared: bool = False) -> np.ndarray:
     """s^(1/p), the p-norm distances of power sums s, or s^(2/p) with squared=True.
 
@@ -247,15 +224,6 @@ def build_distance_matrix(
 # CSV formats
 
 
-def _quote(cell: str) -> str:
-    """The stripped cell's repr for an error text; a cell longer than 40
-    characters is shown as its first 20 and its length."""
-    cell = cell.strip()
-    if len(cell) <= 40:
-        return repr(cell)
-    return f"{cell[:20] + '…'!r} ({len(cell)} characters)"
-
-
 def _read_rows(path) -> list[list[float]]:
     rows = []
     width = None
@@ -281,11 +249,11 @@ def _read_rows(path) -> list[list[float]]:
                     vals.append(float(cell))
                 except ValueError:
                     raise InputError(
-                        f"{path}:{lineno}: column {col}: not a number: {_quote(cell)}"
+                        f"{path}:{lineno}: column {col}: not a number: {quote(cell.strip())}"
                     ) from None
                 if not math.isfinite(vals[-1]):
                     raise InputError(
-                        f"{path}:{lineno}: column {col}: not a finite number: {_quote(cell)}"
+                        f"{path}:{lineno}: column {col}: not a finite number: {quote(cell.strip())}"
                     )
             if width is None:
                 width = len(vals)

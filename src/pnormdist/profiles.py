@@ -36,7 +36,7 @@ import numpy as np
 
 from . import geometry
 from .andmatrix import VERDICT_AND, VERDICT_STRICTLY_AND, AndReport, check_and, verdict_rank
-from .errors import VerdictMismatchError
+from .errors import VerdictMismatchError, quote
 from .geometry import DistanceMatrix, PointsLike
 
 DISTANCE = "distance"
@@ -65,7 +65,7 @@ class RadialProfile:
 
     def __post_init__(self):
         if self.input_convention not in _CONVENTIONS:
-            raise ValueError(f"unknown input convention: {self.input_convention!r}")
+            raise ValueError(f"unknown input convention: {quote(self.input_convention)}")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown profile family: {self.family!r}")
 
@@ -195,11 +195,10 @@ def _base_matrix_class(convention: str, p: float):
         if p == 2.0:
             return VERDICT_AND, "squared Euclidean distance matrix"
         return None, f"p-th power distance matrix with p={p}: no guarantee"
-    if convention == SQUARED_DISTANCE:
-        if p == 2.0:
-            return VERDICT_AND, "squared Euclidean distance matrix"
-        return None, f"squared p-norm distance matrix with p={p}: no guarantee"
-    raise ValueError(f"unknown input convention: {convention!r}")
+    # SQUARED_DISTANCE, the one convention left: RadialProfile admits no other
+    if p == 2.0:
+        return VERDICT_AND, "squared Euclidean distance matrix"
+    return None, f"squared p-norm distance matrix with p={p}: no guarantee"
 
 
 def predict(profile: RadialProfile, p: float, n: int, distinct: bool):
@@ -293,10 +292,12 @@ def _from_expression(obj, levels: int) -> RadialProfile:
         raise ValueError(f"profile expression nested deeper than {MAX_PROFILE_DEPTH} levels")
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in _PARAMETERS:
-        raise ValueError(f"not a profile expression: {obj!r} (kinds: {', '.join(_PARAMETERS)})")
+        kinds = ", ".join(_PARAMETERS)
+        raise ValueError(f"not a profile expression: {quote(obj)} (kinds: {kinds})")
     params = _PARAMETERS[kind]
     if set(obj) - {"kind", "input_convention"} != set(params):
-        raise ValueError(f"{kind} profile takes {' and '.join(params) or 'no parameter'}: {obj!r}")
+        takes = " and ".join(params) or "no parameter"
+        raise ValueError(f"{kind} profile takes {takes}: {quote(obj)}")
     convention = obj.get("input_convention")
     if kind == "composition":
         outer, inner = (_from_expression(obj[key], levels - 1) for key in ("outer", "inner"))
@@ -309,5 +310,5 @@ def _from_expression(obj, levels: int) -> RadialProfile:
             raise TypeError
         tau = float(obj["tau"])
     except (TypeError, ValueError):
-        raise ValueError(f"power profile needs a numeric tau, got {obj['tau']!r}") from None
+        raise ValueError(f"power profile needs a numeric tau, got {quote(obj['tau'])}") from None
     return power(tau, convention)

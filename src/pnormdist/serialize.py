@@ -42,8 +42,6 @@ def _emit(obj, out):
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be str, got {type(k)}")
             out.append(json.dumps(k))
             out.append(":")
             _emit(v, out)
@@ -60,7 +58,7 @@ def _emit(obj, out):
 
 
 def dumps(obj) -> str:
-    """Serialize to compact JSON with 17-significant-digit floats."""
+    """Serialize to compact JSON with 17-significant-digit floats; dict keys must be str."""
     out = []
     _emit(obj, out)
     return "".join(out)

@@ -358,9 +358,15 @@ def certify_singular(config: CubeConfig) -> CertificationRecord:
     partitioned by the cubes, so by Perron-Frobenius sigma_max is the Perron
     root of the 2x2 reduced matrix and no SVD is taken. Raises
     CertificationError on failure (a reduction bug or a root residual too
-    large). Any pair `cube_config` builds is certified; beside A, its checks
-    hold O(2^m + 2^n) values.
+    large), and ValueError from p = 1024, before forming A. Any pair
+    `cube_config` builds below that is certified; beside A, its checks hold
+    O(2^m + 2^n) values.
     """
+    if config.p >= 1024.0:
+        raise ValueError(
+            f"cube pairs are certified for p < 1024, got p = {config.p:g}: the power sum "
+            f"2^p of two opposite cube vertices overflows a double from p = 1024"
+        )
     A = build_distance_matrix(config.points, config.p).entries
     rs = reduced_system(config.m, config.n, config.theta, config.p)
     first, second = 2**config.m, 2**config.n

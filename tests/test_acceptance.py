@@ -236,7 +236,6 @@ PUBLIC_API = [
     "matrix_from_profile",
     "multiquadric",
     "phi",
-    "pnorm",
     "power",
     "psi",
     "psi_limit",

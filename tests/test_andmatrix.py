@@ -101,6 +101,19 @@ class TestCheckAnd:
         )
         assert np.allclose(np.linalg.eigvalsh(UNIT_SQUARE_1NORM), UNIT_SQUARE_EIGS, atol=1e-12)
 
+    def test_singular_restriction_of_a_nonsingular_matrix(self):
+        # at p = 0.5 the triangle (0,0), (1,0), (0,1): B' has eigenvalues {0, 10},
+        # so the verdict is AND, yet det A = 8, so det A is no multiple of det(-B').
+        # The form degenerates on the zero-sum hyperplane itself, so no choice of
+        # anchor row avoids the zero.
+        A = build_distance_matrix([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 0.5).entries
+        assert np.array_equal(A, [[0.0, 1, 1], [1, 0, 4], [1, 4, 0]])
+        rep = check_and(A)
+        assert rep.verdict == "AND"
+        assert np.allclose(rep.restricted_eigenvalues, [-10.0, 0.0], atol=1e-12)
+        assert rep.det_sign == 1
+        assert rep.det_log_magnitude == pytest.approx(math.log(8.0), rel=1e-15)
+
     def test_euclidean_random_points_strictly_and(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((5, 3))

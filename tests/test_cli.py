@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from pnormdist import profiles
 from pnormdist.cli import build_parser, main
+from pnormdist.errors import quote
 from pnormdist.geometry import (
     build_distance_matrix,
     read_matrix_csv,
@@ -157,6 +161,46 @@ class TestProfileFlag:
         err = assert_input_error(capsys, argv)
         assert "nested" in err
         assert not out.exists()
+
+
+class TestLongValuesInErrors:
+    """Each error that echoes a value the user gave cuts one of over 40
+    characters to its first 20 and its length."""
+
+    def test_quote(self):
+        assert quote("x" * 40) == repr("x" * 40)
+        assert quote("x" * 41) == "'" + "x" * 20 + "…' (41 characters)"
+        assert quote({"kind": "bogus"}) == "{'kind': 'bogus'}"  # a parsed object shows as its repr
+        assert quote({"kind": "x" * 40}) == "{'kind': '" + "x" * 10 + "… (52 characters)"
+
+    @pytest.mark.parametrize(
+        "site, length",
+        [
+            ("csv cell", 5000),
+            ("--p-grid", 5004),
+            ("scan-psi --n", 5000),
+            ("profile expression", 5026),  # the parsed object's repr: 26 characters around the value
+            ("tau", 5000),
+            ("input_convention", 5000),
+        ],
+    )
+    def test_a_5000_character_value_is_cut(self, tmp_path, capsys, square_file, site, length):
+        value = "x" * 5000
+        out = str(tmp_path / "out.csv")
+        long_cell = tmp_path / "long.csv"
+        long_cell.write_text(f"1,{value}\n")
+        distmat = ["distmat", str(square_file), "--p", "1.5", "--out", out]
+        argv = {
+            "csv cell": ["distmat", str(long_cell), "--p", "1.5", "--out", out],
+            "--p-grid": ["scan-psi", "--n", "2", "--p-grid", "1" * 5000 + ":x:1", "--out", out],
+            "scan-psi --n": ["scan-psi", "--n", value, "--p-grid", "2:3:1", "--out", out],
+            "profile expression": distmat + ["--profile", json.dumps({"kind": "bogus", "x": value})],
+            "tau": distmat + ["--profile", f"power:{value}"],
+            "input_convention": distmat + ["--profile", f"identity@{value}"],
+        }[site]
+        err = assert_input_error(capsys, argv)
+        assert len(err.encode()) < 200
+        assert f"({length} characters)" in err
 
 
 class TestToleranceFlags:
@@ -367,6 +411,22 @@ class TestSingularConfig:
                 "--out-points", str(tmp_path / "pts.csv"), "--out-cert", str(tmp_path / "c.json")]
         err = assert_input_error(capsys, argv)
         assert err == "error: m and n must be in [1, 12], got m=13, n=13\n"
+
+    @pytest.mark.parametrize("n, p", [("3", "1030"), ("2", "5000")])
+    def test_p_from_1024_names_the_double_range(self, tmp_path, capsys, n, p):
+        # the command makes its own points, so no advice to rescale them helps
+        argv = ["singular-config", "--n", n, "--p", p,
+                "--out-points", str(tmp_path / "pts.csv"), "--out-cert", str(tmp_path / "c.json")]
+        err = assert_input_error(capsys, argv)
+        assert "overflows a double from p = 1024" in err
+        assert "rescale" not in err
+
+    def test_p_1020_certifies(self, tmp_path, capsys):
+        outc = tmp_path / "c.json"
+        argv = ["singular-config", "--n", "3", "--p", "1020",
+                "--out-points", str(tmp_path / "pts.csv"), "--out-cert", str(outc)]
+        assert main(argv) == 0
+        assert json.loads(outc.read_text())["pass"] is True
 
     def test_cert_json_round_trip(self, tmp_path):
         outp, outc = tmp_path / "pts.csv", tmp_path / "cert.json"
@@ -675,6 +735,30 @@ class TestDeterminism:
                   "--out-points", str(outp), "--out-cert", str(outc)])
             certs.append(outc.read_bytes())
         assert certs[0] == certs[1]
+
+
+class TestBlasThreads:
+    def test_check_and_at_one_and_two_threads(self, tmp_path):
+        # the eigenvalues' last digits may move with the BLAS thread count;
+        # the verdict and the determinant sign do not
+        rng = np.random.default_rng(46)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("".join(",".join(map(fmt_float, row)) + "\n" for row in rng.random((1000, 3))))
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+                       OPENBLAS_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-m", "pnormdist", "check-and", str(pts), "--p", "1.5"],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr.decode()
+            reports.append(json.loads(run.stdout))
+        one, two = reports
+        assert one["verdict"] == two["verdict"] == "strictly-AND"
+        assert one["det_sign"] == two["det_sign"] == -1  # (-1)^(n-1)
+        eig_one, eig_two = np.array(one["eigenvalues"]), np.array(two["eigenvalues"])
+        assert np.abs(eig_one - eig_two).max() <= 1e-15 * np.abs(eig_one).max()
 
 
 class TestReadme:

@@ -13,7 +13,6 @@ from pnormdist.errors import InputError
 from pnormdist.geometry import (
     PointSet,
     build_distance_matrix,
-    pnorm,
     pow_abs,
     power_sum_blocks,
     read_matrix_csv,
@@ -54,18 +53,20 @@ def gathered_distance_matrix(x, p, profile):
 
 class TestPExponent:
     def test_classification_flags(self):
-        # quasi-norm below 1 (the triangle inequality fails), Euclidean at 2
-        v, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert pnorm(v + w, 0.5) > pnorm(v, 0.5) + pnorm(w, 0.5)
-        assert pnorm(v + w, 1.0) == pnorm(v, 1.0) + pnorm(w, 1.0)
-        assert pnorm([3.0, 4.0], 2.0) == 5.0
+        # quasi-norm below 1 (the triangle inequality fails), Euclidean at 2;
+        # the path 0 -> e1 -> e1 + e2 against its chord
+        path = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
+        A = build_distance_matrix(path, 0.5).entries
+        assert A[0, 2] > A[0, 1] + A[1, 2]
+        A = build_distance_matrix(path, 1.0).entries
+        assert A[0, 2] == A[0, 1] + A[1, 2]
+        assert build_distance_matrix([[0.0, 0.0], [3.0, 4.0]], 2.0).entries[0, 1] == 5.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_nonpositive(self, bad, tmp_path, capsys):
         # every public function that takes p, and every CLI command that passes --p on
         square, values = np.array(UNIT_SQUARE), [1.0, 2.0, 3.0, 4.0]
         calls = {
-            "pnorm": lambda: pnorm([3.0, 4.0], bad),
             "build_distance_matrix": lambda: build_distance_matrix(square, bad),
             "bernstein_half": lambda: bernstein_half(3, bad),
             "psi": lambda: psi(3, bad),
@@ -124,10 +125,18 @@ class TestPointSet:
             pts.points[0, 0] = 5.0
 
 
+# 0 or at least 1e-3 in magnitude, so that no power sum of two distinct
+# points falls below the double range, which build_distance_matrix rejects
+COORDINATE = st.floats(-100, 100).filter(lambda x: x == 0 or abs(x) > 1e-3)
+
+
 class TestPnorm:
+    """The norm properties of the p-norm distances that `build_distance_matrix` computes."""
+
     def test_zero_vector_is_zero(self):
         for p in (0.5, 1.0, 1.5, 2.0, 7.0):
-            assert pnorm(np.zeros(3), p) == 0.0
+            A = build_distance_matrix([[1.0, -2.0, 3.0], [1.0, -2.0, 3.0]], p).entries
+            assert np.array_equal(A, np.zeros((2, 2)))
 
     def test_cross_cube_difference_vector(self):
         # difference of a unit-sphere cube vertex pair across orthogonal
@@ -135,24 +144,29 @@ class TestPnorm:
         # p-norm exactly 2^(1/p) for every p
         for p in (0.7, 1.0, 1.5, 2.0, 3.0, 7.5):
             a, b = 2.0 ** (-1.0 / p), 3.0 ** (-1.0 / p)
-            v = np.array([a, a, -b, -b, -b])
-            assert pnorm(v, p) == pytest.approx(2.0 ** (1.0 / p), rel=1e-14)
+            pair = [[a, a, 0.0, 0.0, 0.0], [0.0, 0.0, b, b, b]]
+            dist = build_distance_matrix(pair, p).entries[0, 1]
+            assert dist == pytest.approx(2.0 ** (1.0 / p), rel=1e-14)
 
     def test_direct_evaluation(self):
         # (2 * 1^1.5)^(1/1.5) = 2^(2/3)
-        assert pnorm([1.0, 1.0], 1.5) == pytest.approx(2.0 ** (1.0 / 1.5), rel=1e-15)
+        dist = build_distance_matrix([[0.0, 0.0], [1.0, 1.0]], 1.5).entries[0, 1]
+        assert dist == pytest.approx(2.0 ** (1.0 / 1.5), rel=1e-15)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            pnorm([1.0, float("inf")], 2.0)
+            build_distance_matrix([[0.0, 0.0], [1.0, float("inf")]], 2.0)
 
     def test_full_double_range(self):
-        # the power sum alone would overflow to inf and underflow to 0 here
-        assert pnorm([1e300, 0.0], 1.5) == 1e300
-        assert pnorm([1e-250, 0.0], 1.5) == 1e-250
-        assert pnorm([-1e300, 1e300], 1.0) == 2e300
-        with pytest.raises(ValueError, match="overflows"):
-            pnorm([1e308, 1e308], 1.0)
+        # a power sum inside the double range gives its distance, up to the
+        # rounding of exp(p ln|v|); one beyond it is rejected, not returned as inf or 0
+        dist = build_distance_matrix([[-1e300], [1e300]], 1.0).entries[0, 1]
+        assert dist == pytest.approx(2e300, rel=1e-12)
+        for pair in ([[1e300, 0.0], [0.0, 0.0]], [[1e308, 1e308], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="overflow"):
+                build_distance_matrix(pair, 1.5)
+        with pytest.raises(ValueError, match="below the normal double range"):
+            build_distance_matrix([[1e-250, 0.0], [0.0, 0.0]], 1.5)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -165,27 +179,30 @@ class TestPnorm:
         p=st.floats(min_value=1.0, max_value=4.0),
     )
     def test_absolute_homogeneity(self, v, c, p):
-        v = np.array(v)
-        assert pnorm(c * v, p) == pytest.approx(c * pnorm(v, p), rel=1e-12, abs=1e-12)
+        pair = np.array([v, np.zeros(len(v))])
+        dist = build_distance_matrix(pair, p).entries[0, 1]
+        scaled = build_distance_matrix(c * pair, p).entries[0, 1]
+        assert scaled == pytest.approx(c * dist, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        vw=st.lists(
-            st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+        coords=st.lists(
+            st.tuples(COORDINATE, COORDINATE, COORDINATE),
             min_size=2,
             max_size=5,
         ),
         p=st.floats(min_value=1.0, max_value=5.0),
     )
-    def test_triangle_inequality_for_norms(self, vw, p):
-        v = np.array([a for a, _ in vw])
-        w = np.array([b for _, b in vw])
-        assert pnorm(v + w, p) <= pnorm(v, p) + pnorm(w, p) + 1e-9
+    def test_triangle_inequality_for_norms(self, coords, p):
+        # three points, one coordinate per tuple: A_ik <= A_ij + A_jk for all i, j, k
+        A = build_distance_matrix(np.array(coords).T, p).entries
+        through = (A[:, :, None] + A[None, :, :]).min(axis=1)
+        assert np.all(A <= through + 1e-9)
 
     def test_triangle_inequality_fails_for_quasi_norm(self):
-        v, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        # ||v+w||_0.5 = (1+1)^2 = 4 > 2 = ||v|| + ||w||
-        assert pnorm(v + w, 0.5) > pnorm(v, 0.5) + pnorm(w, 0.5)
+        # ||e1 + e2||_0.5 = (1+1)^2 = 4 > 2 = ||e1|| + ||e2||
+        A = build_distance_matrix([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 0.5).entries
+        assert A[0, 2] > A[0, 1] + A[1, 2]
 
 
 class TestBuildDistanceMatrix:
