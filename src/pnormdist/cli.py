@@ -29,7 +29,6 @@ from .geometry import (
     write_matrix_csv,
     write_points_csv,
 )
-from .serialize import fmt_float
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -115,13 +114,9 @@ def cmd_embed(args) -> int:
 
 def _write_table(args, header: list[str], rows) -> None:
     """The rows as CSV under a header line in --out, and with --json-out as a
-    JSON list of {column: value} records. `fmt_float` prints an int cell as its
-    digits, and the JSON keeps it an int.
+    JSON list of {column: value} records, in which an int cell stays an int.
     """
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(fmt_float, row)) + "\n")
+    serialize.write_csv(args.out, rows, header)
     if args.json_out:
         serialize.write_json(args.json_out, [dict(zip(header, row)) for row in rows])
 
@@ -175,10 +170,7 @@ def cmd_interp(args) -> int:
             f"{args.query_file}: query dimension {queries.shape[1]} does not match "
             f"data dimension {centers.shape[1]}"
         )
-    out_vals = interp.evaluate_many(queries)
-    text = "".join(fmt_float(v) + "\n" for v in out_vals.tolist())
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    serialize.write_csv(args.out, interp.evaluate_many(queries)[:, None])
     fit_residual = float(np.max(np.abs(interp.evaluate_many(centers) - values)))
     print(
         serialize.dumps(
@@ -295,6 +287,3 @@ def main(argv=None) -> int:
 def console_main() -> None:
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    console_main()

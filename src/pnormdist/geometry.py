@@ -14,15 +14,16 @@ matrices are assembled from its upper blocks and mirrored, so they are
 bitwise symmetric by construction.
 `distances_from_power_sums` is the one place that takes their roots.
 
-File formats owned by this module: points are CSV with one point per row and
-d float columns (no header); matrices are CSV with n rows of n floats. A
-cell is anything Python's float() reads, underscores between digits
-included, and may be quoted; blank lines, whitespace-only lines and rows of
-empty cells are skipped; a non-finite cell is rejected with its line and
-column; a file that is not UTF-8 is rejected with the offset of its first
-bad byte. A well-formed file (ASCII decimal cells, finite, the same count on
-every line) is parsed in one vectorised `np.loadtxt` call; any other file is
-read row by row, which gives the same values and words every error.
+File formats read by this module (`serialize.write_csv` writes them): points
+are CSV with one point per row and d float columns (no header); matrices are
+CSV with n rows of n floats. A cell is anything Python's float() reads,
+underscores between digits included, and may be quoted; blank lines,
+whitespace-only lines and rows of empty cells are skipped; a non-finite cell
+is rejected with its line and column; a file that is not UTF-8 is rejected
+with the offset of its first bad byte. A well-formed file (ASCII decimal
+cells, finite, the same count on every line) is parsed in one vectorised
+`np.loadtxt` call; any other file is read row by row, which gives the same
+values and words every error.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError, quote
-from .serialize import fmt_float
+from .serialize import write_csv
 
 if TYPE_CHECKING:
     from .profiles import RadialProfile
@@ -294,10 +295,7 @@ def read_points_csv(path) -> PointSet:
 
 
 def write_points_csv(path, points: PointsLike) -> None:
-    rows = as_point_set(points).points.tolist()
-    text = "".join(",".join(map(fmt_float, row)) + "\n" for row in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_csv(path, as_point_set(points).points)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -309,10 +307,4 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, matrix) -> None:
-    arr = np.asarray(matrix, dtype=float)
-    # one write per row: a row holds n values, so the call costs nothing
-    # beside formatting them, and the file's text is never held whole
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(arr):
-            fh.write(",".join(map(fmt_float, row.tolist())))
-            fh.write("\n")
+    write_csv(path, np.atleast_2d(matrix))

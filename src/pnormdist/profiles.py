@@ -295,9 +295,12 @@ def _from_expression(obj, levels: int) -> RadialProfile:
         kinds = ", ".join(_PARAMETERS)
         raise ValueError(f"not a profile expression: {quote(obj)} (kinds: {kinds})")
     params = _PARAMETERS[kind]
-    if set(obj) - {"kind", "input_convention"} != set(params):
+    known = ("kind", "input_convention", *params)
+    faults = [f"unexpected {quote(key)}" for key in obj if key not in known]
+    faults += [f"missing {quote(key)}" for key in params if key not in obj]
+    if faults:
         takes = " and ".join(params) or "no parameter"
-        raise ValueError(f"{kind} profile takes {takes}: {quote(obj)}")
+        raise ValueError(f"{kind} profile takes {takes}: {', '.join(faults)}")
     convention = obj.get("input_convention")
     if kind == "composition":
         outer, inner = (_from_expression(obj[key], levels - 1) for key in ("outer", "inner"))

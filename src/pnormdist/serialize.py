@@ -1,29 +1,26 @@
-"""Deterministic text serialization for CSV and JSON outputs.
+"""Deterministic text serialization: the writer of every CSV and JSON file.
 
-All floats are printed with 17 significant digits so that emitted files
-round-trip exactly through IEEE doubles: re-reading a file and re-emitting
-it reproduces the bytes. Non-finite floats are emitted as the strings
-"inf"/"-inf"/"nan" (valid JSON, stable round trip).
+All floats are printed with 17 significant digits (CELL), so a file
+round-trips exactly through IEEE doubles: re-reading it and re-emitting it
+reproduces the bytes. JSON quotes the non-finite floats "inf"/"-inf"/"nan"
+as strings. Files are UTF-8 with LF line ends.
 """
 
 import json
 
 import numpy as np
 
+CELL = "%.17g"  # 17 significant digits: the shortest width at which every double round-trips
+BLOCK_CELLS = 2**16  # CSV cells formatted and written per write
+
 
 def fmt_float(x) -> str:
-    """Format a float with 17 significant digits (exact double round trip).
-
-    Python's format already writes every nan as "nan" and the infinities as
-    "inf" and "-inf".
-    """
-    return format(float(x), ".17g")
+    """`x` to 17 significant digits; any nan prints "nan", the infinities "inf" and "-inf"."""
+    return CELL % float(x)
 
 
 def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
+    if obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
@@ -33,10 +30,7 @@ def _emit(obj, out):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         s = fmt_float(obj)
-        if s in ("inf", "-inf", "nan"):
-            out.append(json.dumps(s))
-        else:
-            out.append(s)
+        out.append(json.dumps(s) if s in ("inf", "-inf", "nan") else s)
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -65,6 +59,24 @@ def dumps(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps(obj))
         fh.write("\n")
+
+
+def write_csv(path, table, header=None) -> None:
+    """A 2-d table of floats as CSV, under the column names in `header` when given.
+
+    An int cell prints as its digits. Rows are formatted and written
+    BLOCK_CELLS cells at a time, so the file's text is never held whole.
+    """
+    cells = np.asarray(table, dtype=float)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        if cells.size:
+            line = ",".join([CELL] * cells.shape[1]) + "\n"
+            rows = max(1, BLOCK_CELLS // cells.shape[1])
+            for start in range(0, cells.shape[0], rows):
+                block = cells[start : start + rows]
+                fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))

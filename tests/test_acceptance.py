@@ -344,6 +344,54 @@ def test_unused_imports_scan():
     assert unused_imports(source) == ["math (line 3)"]
 
 
+def write_opens(source: str) -> list[str]:
+    """Calls of `open(path, mode)` or `path.open(mode)` whose mode writes,
+    appends or creates, or is not a literal, as "open (line N)".
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            position = 1
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            position = 0
+        else:
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[position:]
+        if not modes:
+            continue  # the default mode reads
+        mode = modes[0]
+        if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+            found.append(f"open (line {node.lineno})")
+    return found
+
+
+def test_only_serialize_opens_files_for_writing():
+    # every CSV and JSON file is written by pnormdist.serialize
+    package = Path(__file__).parents[1] / "src" / "pnormdist"
+    writers = {
+        path.name: found
+        for path in sorted(package.rglob("*.py"))
+        if (found := write_opens(path.read_text(encoding="utf-8")))
+    }
+    assert list(writers) == ["serialize.py"], writers
+
+
+def test_write_opens_scan():
+    source = (
+        'open(p)\n'
+        'open(p, "rb")\n'
+        'open(p, "w", encoding="utf-8")\n'
+        'open(p, mode="a")\n'
+        'path.open("r+")\n'
+        'open(p, mode)\n'
+        'path.open()\n'
+    )
+    assert write_opens(source) == [f"open (line {n})" for n in (3, 4, 5, 6)]
+
+
 def traced_targets():
     """Every (module, attribute) that bench/tracing.py wraps, read from its source.
 

@@ -151,6 +151,22 @@ class TestProfileFlag:
         argv = ["distmat", str(square_file), "--p", "1.5", "--profile", flag, "--out", str(out)]
         assert_input_error(capsys, argv)
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("multiquadric:banana", "multiquadric profile takes no parameter: unexpected 'tau'"),
+            ('{"kind":"power","tau":0.5,"outer":{"kind":"identity"}}',
+             "power profile takes tau: unexpected 'outer'"),
+            ('{"kind":"composition","outer":{"kind":"identity"}}',
+             "composition profile takes outer and inner: missing 'inner'"),
+            ('{"kind":"power"}', "power profile takes tau: missing 'tau'"),
+        ],
+    )
+    def test_wrong_keys_are_named(self, tmp_path, capsys, square_file, flag, message):
+        out = tmp_path / "mat.csv"
+        argv = ["distmat", str(square_file), "--p", "1.5", "--profile", flag, "--out", str(out)]
+        assert assert_input_error(capsys, argv) == f"error: {message}\n"
+
     @pytest.mark.parametrize("depth", [980, 20_000])
     def test_deeply_nested_composition_exit_2(self, tmp_path, capsys, square_file, depth):
         # the JSON parser gives out near 990 levels; the expression parser stops at 100
@@ -201,6 +217,40 @@ class TestLongValuesInErrors:
         err = assert_input_error(capsys, argv)
         assert len(err.encode()) < 200
         assert f"({length} characters)" in err
+
+
+class TestArgumentErrors:
+    """Each argument check in the commands exits 2 with its own error line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scan-psi", "--n", "2", "--p-grid", "2:3"], "grid must be lo:hi:step, got '2:3'"),
+            (["scan-psi", "--n", "2", "--p-grid", "2:3:0"], "grid step must be positive, got 0.0"),
+            (["scan-psi", "--n", ",", "--p-grid", "2:3:1"], "--n needs at least one integer >= 1"),
+            (["find-pn", "--n-min", "1", "--n-max", "3"], "--n-min must be >= 2, got 1"),
+            (["singular-config", "--p", "3"], "--n is required"),
+            (["singular-config", "--m", "2", "--n", "3", "--p", "3"],
+             "theta scaling applies to equal cubes: --p requires m = n"),
+            (["singular-config", "--m", "2"], "need --m and --n (or --n with --p)"),
+            (["singular-config", "--m", "1", "--n", "3"], "m and n must be >= 2, got m=1, n=3"),
+            (["interp", "DATA", "--p", "1.5", "--query-file", "DATA"],
+             "DATA: need d+1 columns (coordinates then value)"),
+            (["distmat", "SQUARE", "--p", "1.5", "--profile", "power:0"],
+             "power exponent must be positive, got 0.0"),
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, square_file, argv, message):
+        data = tmp_path / "one_column.csv"
+        data.write_text("1\n2\n")
+        names = {"DATA": str(data), "SQUARE": str(square_file)}
+        argv = [names.get(arg, arg) for arg in argv]
+        if argv[0] == "singular-config":
+            argv += ["--out-points", str(tmp_path / "p.csv"), "--out-cert", str(tmp_path / "c.json")]
+        else:
+            argv += ["--out", str(tmp_path / "out.csv")]
+        err = assert_input_error(capsys, argv)
+        assert err == f"error: {message.replace('DATA', str(data))}\n"
 
 
 class TestToleranceFlags:
@@ -470,6 +520,18 @@ class TestInterp:
         report = json.loads(capsys.readouterr().out)
         assert report["n"] == 501 and report["guaranteed"] is True
         assert math.isfinite(report["condition_estimate"])
+
+    def test_one_centre_has_an_infinite_condition_estimate(self, tmp_path, capsys):
+        # A = [0]: fit returns the zero coefficient, and the report quotes "inf"
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,0\n")
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n2\n")
+        out = tmp_path / "vals.csv"
+        rc = main(["interp", str(data), "--p", "1.5", "--query-file", str(queries), "--out", str(out)])
+        assert rc == 0
+        assert '"condition_estimate":"inf"' in capsys.readouterr().out
+        assert out.read_text() == "0\n0\n"
 
     def test_unit_square_p1_exit_3(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -22,6 +22,7 @@ from pnormdist.geometry import (
 )
 from pnormdist.interpolation import fit
 from pnormdist.profiles import matrix_from_profile, multiquadric
+from pnormdist.serialize import write_csv
 from pnormdist.singular import (
     bernstein_half,
     cube_config,
@@ -344,6 +345,28 @@ class TestCsv:
         A = build_distance_matrix(UNIT_SQUARE, 1.0).entries
         write_matrix_csv(path, A)
         assert np.array_equal(read_matrix_csv(path), A)
+
+    def test_write_peak_is_bounded(self, tmp_path):
+        # 200 000 x 3 points are 14 MB of text; the writer holds the points'
+        # copy (4.8 MB) and one block of formatted rows, never the whole text
+        x = np.random.default_rng(7).standard_normal((200_000, 3))
+        path = tmp_path / "pts.csv"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_points_csv(path, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.array_equal(read_points_csv(path).points, x)
+
+    def test_header_over_rows_and_over_no_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, [[2, 0.1, -np.inf]], ["n", "x", "y"])
+        assert path.read_bytes() == b"n,x,y\n2,0.10000000000000001,-inf\n"
+        write_csv(path, [], ["p", "psi_2"])
+        assert path.read_bytes() == b"p,psi_2\n"
 
     def test_malformed_cell_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
