@@ -2,11 +2,11 @@
 
 A profile f is CND1 (conditionally negative definite of order 1) when
 f(|x^i - x^j|^2) is always an AND matrix, and strictly CND1 when that matrix
-is strictly AND for distinct points. Each profile stores one class, its
-`family`: STRICTLY_CND1, CND1, POSITIVE_DEFINITE (strictly, for distinct
-points) or None. The shipped catalog's families are established facts
+is strictly AND for distinct points. A profile's class, its `family`, is
+read from its expression: STRICTLY_CND1, CND1, POSITIVE_DEFINITE (strictly,
+for distinct points) or None. The catalog's classes are established facts
 (Micchelli's completely-monotonic-derivative criterion and Schoenberg's
-theory), stored rather than re-proved at runtime:
+theory), tabulated rather than re-proved at runtime:
 
     identity        t          CND1 (not strictly; f' is constant)
     power(tau)      t^tau      strictly CND1 for tau in (0, 1)
@@ -23,13 +23,16 @@ one class the catalog guarantees for the profile matrix (strictly AND, AND,
 positive definite, or none) with the fact it rests on.
 
 Three input conventions are in play and silent mismatch is the main hazard,
-so each profile records explicitly whether it consumes the distance r, the
-squared distance r^2, or the p-th power r^p.
+so each leaf records whether it consumes the distance r, the squared
+distance r^2, or the p-th power r^p. The convention sits on the inner leaf:
+a composition consumes what inner does, and outer consumes inner's values,
+so an outer convention other than `distance` is an error, never ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,25 +52,37 @@ STRICTLY_CND1 = "strictly-cnd1"
 CND1 = "cnd1"
 POSITIVE_DEFINITE = "positive-definite"
 
-_FAMILIES = (STRICTLY_CND1, CND1, POSITIVE_DEFINITE, None)
+_LEAVES = {"identity": CND1, "multiquadric": STRICTLY_CND1, "exponential": POSITIVE_DEFINITE}
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Immutable descriptor of a scalar radial map plus its class (`family`)."""
+    """Immutable descriptor of a scalar radial map; its class (`family`) follows from it."""
 
     kind: str
     tau: Optional[float] = None
     outer: Optional["RadialProfile"] = None
     inner: Optional["RadialProfile"] = None
     input_convention: str = DISTANCE
-    family: Optional[str] = None
 
     def __post_init__(self):
         if self.input_convention not in _CONVENTIONS:
             raise ValueError(f"unknown input convention: {quote(self.input_convention)}")
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown profile family: {self.family!r}")
+        if self.kind == "composition" and self.outer.input_convention != DISTANCE:
+            raise ValueError(
+                f"outer profile {self.outer.describe()} has input convention "
+                f"{quote(self.outer.input_convention)}; put the convention on the inner profile"
+            )
+
+    @cached_property
+    def family(self) -> Optional[str]:
+        """The class from the module's catalog table, power's tau rule and the composition rule."""
+        if self.kind == "power":
+            return STRICTLY_CND1 if self.tau < 1.0 else CND1 if self.tau == 1.0 else None
+        if self.kind == "composition":
+            keeps = self.inner.family in (CND1, STRICTLY_CND1) and _evaluate(self.inner, 0.0) == 0.0
+            return self.outer.family if keeps else None
+        return _LEAVES.get(self.kind)
 
     def __call__(self, t):
         """The profile at t >= 0 (scalar or array).
@@ -76,11 +91,7 @@ class RadialProfile:
         Only the final value is checked, so an inner value that overflows to
         inf may still map to a finite one (exp o power(3) gives 0 there).
         """
-        with np.errstate(over="ignore"):
-            vals = _evaluate(self, t)
-        if np.isinf(vals).any():
-            raise ValueError(f"profile {self.describe()} overflows a double")
-        return vals
+        return self._finite(t, "")
 
     def apply_to_power_sums(self, sums, p: float) -> np.ndarray:
         """Map pairwise p-th-power sums s = ||x_i - x_j||_p^p to profile values.
@@ -90,12 +101,14 @@ class RadialProfile:
         t = np.asarray(sums, dtype=float)
         if self.input_convention != PTH_POWER_DISTANCE:
             t = geometry.distances_from_power_sums(t, p, self.input_convention == SQUARED_DISTANCE)
+        return self._finite(t, f" at p = {p:g}; rescale the points")
+
+    def _finite(self, t, where: str):
+        """The profile at t; a value that overflows raises ValueError, `where` ending its text."""
         with np.errstate(over="ignore"):
             vals = _evaluate(self, t)
-        if not np.isfinite(vals).all():
-            raise ValueError(
-                f"profile {self.describe()} overflows a double at p = {p:g}; rescale the points"
-            )
+        if np.isinf(vals).any():
+            raise ValueError(f"profile {self.describe()} overflows a double{where}")
         return vals
 
     def describe(self) -> str:
@@ -107,44 +120,31 @@ class RadialProfile:
 
 
 def identity(convention: str = DISTANCE) -> RadialProfile:
-    return RadialProfile(kind="identity", input_convention=convention, family=CND1)
+    return RadialProfile(kind="identity", input_convention=convention)
 
 
 def power(tau: float, convention: str = DISTANCE) -> RadialProfile:
-    """t -> t^tau. CND1 only for tau in (0, 1], strictly below 1.
-
-    tau > 1 is accepted but has no family.
-    """
+    """t -> t^tau. tau > 1 is accepted but has no family."""
     tau = float(tau)
     if not np.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"power exponent must be positive, got {tau!r}")
-    family = STRICTLY_CND1 if tau < 1.0 else CND1 if tau == 1.0 else None
-    return RadialProfile(kind="power", tau=tau, input_convention=convention, family=family)
+    return RadialProfile(kind="power", tau=tau, input_convention=convention)
 
 
 def multiquadric(convention: str = DISTANCE) -> RadialProfile:
-    return RadialProfile(kind="multiquadric", input_convention=convention, family=STRICTLY_CND1)
+    return RadialProfile(kind="multiquadric", input_convention=convention)
 
 
 def exponential(convention: str = DISTANCE) -> RadialProfile:
-    return RadialProfile(kind="exponential", input_convention=convention, family=POSITIVE_DEFINITE)
+    return RadialProfile(kind="exponential", input_convention=convention)
 
 
-def compose(
-    outer: RadialProfile, inner: RadialProfile, convention: Optional[str] = None
-) -> RadialProfile:
-    """outer o inner, whose family follows the composition rule.
-
-    It takes outer's family when inner is CND1 (strictly or not) and
-    inner(0) = 0, and has no family otherwise.
-    """
-    keeps = inner.family in (CND1, STRICTLY_CND1) and _evaluate(inner, 0.0) == 0.0
+def compose(outer: RadialProfile, inner: RadialProfile) -> RadialProfile:
+    """outer o inner, which consumes what inner consumes: the convention sits on
+    the inner leaf. outer consumes inner's values, not a distance, so an outer
+    convention other than DISTANCE raises ValueError."""
     return RadialProfile(
-        kind="composition",
-        outer=outer,
-        inner=inner,
-        input_convention=inner.input_convention if convention is None else convention,
-        family=outer.family if keeps else None,
+        kind="composition", outer=outer, inner=inner, input_convention=inner.input_convention
     )
 
 
@@ -270,7 +270,6 @@ def matrix_from_profile(x: PointsLike, p: float, profile: RadialProfile) -> Prof
 # JSON expression form
 
 
-_LEAVES = {"identity": identity, "multiquadric": multiquadric, "exponential": exponential}
 _PARAMETERS = {**dict.fromkeys(_LEAVES, ()), "power": ("tau",), "composition": ("outer", "inner")}
 MAX_PROFILE_DEPTH = 100  # expression levels; evaluation recurses far below Python's limit
 
@@ -278,10 +277,11 @@ MAX_PROFILE_DEPTH = 100  # expression levels; evaluation recurses far below Pyth
 def from_json_dict(obj) -> RadialProfile:
     """The profile of a JSON expression; a malformed expression raises ValueError.
 
-    An expression holds "kind", an optional "input_convention" and exactly
-    the parameters of its kind: "tau" for power (a number, or the decimal
-    string the CLI shorthand NAME[:PARAM][@CONVENTION] passes), "outer" and
-    "inner" for composition. It nests at most MAX_PROFILE_DEPTH levels deep.
+    An expression holds "kind" and exactly the parameters of its kind: "tau"
+    for power (a number, or the decimal string the CLI shorthand
+    NAME[:PARAM][@CONVENTION] passes), "outer" and "inner" for composition.
+    A leaf may also hold "input_convention"; a composition takes inner's.
+    It nests at most MAX_PROFILE_DEPTH levels deep.
     """
     return _from_expression(obj, MAX_PROFILE_DEPTH)
 
@@ -290,24 +290,24 @@ def _from_expression(obj, levels: int) -> RadialProfile:
     """`from_json_dict` for an expression that may nest `levels` levels deep."""
     if levels == 0:
         raise ValueError(f"profile expression nested deeper than {MAX_PROFILE_DEPTH} levels")
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in _PARAMETERS:
-        kinds = ", ".join(_PARAMETERS)
+    kinds = ", ".join(_PARAMETERS)
+    if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"not a profile expression: {quote(obj)} (kinds: {kinds})")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _PARAMETERS:
+        raise ValueError(f"unknown profile kind {quote(kind)} (kinds: {kinds})")
     params = _PARAMETERS[kind]
-    known = ("kind", "input_convention", *params)
+    known = ("kind", *params) if kind == "composition" else ("kind", "input_convention", *params)
     faults = [f"unexpected {quote(key)}" for key in obj if key not in known]
     faults += [f"missing {quote(key)}" for key in params if key not in obj]
     if faults:
         takes = " and ".join(params) or "no parameter"
         raise ValueError(f"{kind} profile takes {takes}: {', '.join(faults)}")
-    convention = obj.get("input_convention")
     if kind == "composition":
-        outer, inner = (_from_expression(obj[key], levels - 1) for key in ("outer", "inner"))
-        return compose(outer, inner, convention)
-    convention = DISTANCE if convention is None else convention
+        return compose(*(_from_expression(obj[key], levels - 1) for key in ("outer", "inner")))
+    convention = obj.get("input_convention", DISTANCE)
     if kind != "power":
-        return _LEAVES[kind](convention)
+        return RadialProfile(kind=kind, input_convention=convention)
     try:
         if isinstance(obj["tau"], bool):  # float() reads a JSON true as 1.0
             raise TypeError

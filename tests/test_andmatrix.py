@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,10 @@ class TestCheckAnd:
     def test_rejects_1x1(self):
         with pytest.raises(ValueError, match="n >= 2"):
             check_and(np.array([[0.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=re.escape("matrix must be square, got shape (2, 3)")):
+            check_and(np.zeros((2, 3)))
 
     def test_permutation_invariance(self):
         # the raw restricted eigenvalues depend on the (index-pinned) test

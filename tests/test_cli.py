@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -32,6 +33,16 @@ UNIT_SQUARE_1NORM = np.array([[0.0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2,
 README_COMPOSITION = (
     '{"kind":"composition","outer":{"kind":"power","tau":0.5},"inner":{"kind":"power","tau":0.75}}'
 )
+INNER_CONVENTION = (
+    '{"kind":"composition","outer":{"kind":"exponential"},'
+    '"inner":{"kind":"identity","input_convention":"squared-distance"}}'
+)
+# the same convention on the outer profile, where it could only be ignored
+OUTER_CONVENTION = (
+    '{"kind":"composition","outer":{"kind":"exponential","input_convention":"squared-distance"},'
+    '"inner":{"kind":"identity"}}'
+)
+KINDS = "identity, multiquadric, exponential, power, composition"
 
 
 @pytest.fixture
@@ -116,6 +127,8 @@ class TestProfileFlag:
             ("power:0.65@p-th-power-distance", profiles.power(0.65, profiles.PTH_POWER_DISTANCE)),
             ("identity@squared-distance", profiles.identity(profiles.SQUARED_DISTANCE)),
             (README_COMPOSITION, profiles.compose(profiles.power(0.5), profiles.power(0.75))),
+            (INNER_CONVENTION,
+             profiles.compose(profiles.exponential(), profiles.identity(profiles.SQUARED_DISTANCE))),
         ],
     )
     def test_matches_library_profile(self, tmp_path, flag, made):
@@ -160,6 +173,19 @@ class TestProfileFlag:
             ('{"kind":"composition","outer":{"kind":"identity"}}',
              "composition profile takes outer and inner: missing 'inner'"),
             ('{"kind":"power"}', "power profile takes tau: missing 'tau'"),
+            ("spline", f"unknown profile kind 'spline' (kinds: {KINDS})"),
+            ("[1,2]", f"unknown profile kind '[1,2]' (kinds: {KINDS})"),
+            ('{"kind":"spline","tau":2}', f"unknown profile kind 'spline' (kinds: {KINDS})"),
+            ('{"kind":5}', f"unknown profile kind 5 (kinds: {KINDS})"),
+            ('{"kind":"composition","outer":[1,2],"inner":{"kind":"identity"}}',
+             f"not a profile expression: [1, 2] (kinds: {KINDS})"),
+            ('{"kind":"identity","input_convention":null}', "unknown input convention: None"),
+            (OUTER_CONVENTION,
+             "outer profile exponential has input convention 'squared-distance'; "
+             "put the convention on the inner profile"),
+            ('{"kind":"composition","outer":{"kind":"identity"},"inner":{"kind":"identity"},'
+             '"input_convention":"squared-distance"}',
+             "composition profile takes outer and inner: unexpected 'input_convention'"),
         ],
     )
     def test_wrong_keys_are_named(self, tmp_path, capsys, square_file, flag, message):
@@ -195,7 +221,8 @@ class TestLongValuesInErrors:
             ("csv cell", 5000),
             ("--p-grid", 5004),
             ("scan-psi --n", 5000),
-            ("profile expression", 5026),  # the parsed object's repr: 26 characters around the value
+            ("profile kind", 5000),
+            ("profile expression", 5004),  # a nested non-object's repr: the value in a list
             ("tau", 5000),
             ("input_convention", 5000),
         ],
@@ -210,7 +237,10 @@ class TestLongValuesInErrors:
             "csv cell": ["distmat", str(long_cell), "--p", "1.5", "--out", out],
             "--p-grid": ["scan-psi", "--n", "2", "--p-grid", "1" * 5000 + ":x:1", "--out", out],
             "scan-psi --n": ["scan-psi", "--n", value, "--p-grid", "2:3:1", "--out", out],
-            "profile expression": distmat + ["--profile", json.dumps({"kind": "bogus", "x": value})],
+            "profile kind": distmat + ["--profile", value],
+            "profile expression": distmat + ["--profile", json.dumps(
+                {"kind": "composition", "outer": [value], "inner": {"kind": "identity"}}
+            )],
             "tau": distmat + ["--profile", f"power:{value}"],
             "input_convention": distmat + ["--profile", f"identity@{value}"],
         }[site]
@@ -824,24 +854,59 @@ class TestBlasThreads:
 
 
 class TestReadme:
-    """README's "Command line" section names exactly the flags the parser has."""
+    """README's "Command line" section names exactly the flags the parser has,
+    the profile kinds and the input conventions, and its commands run."""
 
     @staticmethod
-    def parser_flags() -> set:
+    def subcommands() -> dict:
         parser = build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return {
+        return commands.choices
+
+    @staticmethod
+    def section() -> str:
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_command_line_section_names_every_flag_and_no_other(self):
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", self.section()))
+        flags = {
             flag
-            for sp in commands.choices.values()
+            for sp in self.subcommands().values()
             for action in sp._actions
             for flag in action.option_strings
             if flag.startswith("--") and flag != "--help"
         }
-
-    def test_command_line_section_names_every_flag_and_no_other(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
-        flags = self.parser_flags()
         assert named - flags == set(), "README names flags the parser lacks"
         assert flags - named == set(), "parser flags missing from README"
+
+    def test_profile_paragraph_names_every_kind_and_convention_and_no_other(self):
+        # its lowercase code words are commands, JSON keys, kinds and conventions
+        paragraph = re.search(r"\n(`--profile`.*?)\n\n", self.section(), re.S).group(1)
+        spans = re.findall(r"`([^`]*)`", paragraph)
+        words = {span.split(":")[0] for span in spans if re.fullmatch(r"[a-z][a-z-]*(:[A-Z]+)?", span)}
+        params = (key for keys in profiles._PARAMETERS.values() for key in keys)
+        keys = {"kind", "input_convention", *params}
+        named = words - set(self.subcommands()) - keys
+        assert named == set(profiles._PARAMETERS) | set(profiles._CONVENTIONS)
+
+    def test_command_line_block_runs(self, tmp_path, monkeypatch):
+        # each line as a user types it, among the files it names: points,
+        # interpolation data and queries; the first line writes matrix.csv
+        rng = np.random.default_rng(47)
+        monkeypatch.chdir(tmp_path)
+        centres = rng.random((12, 3))
+        tables = {
+            "points.csv": centres,
+            "data.csv": np.column_stack([centres, rng.standard_normal(12)]),
+            "queries.csv": rng.random((5, 3)),
+        }
+        for name, table in tables.items():
+            Path(name).write_text("".join(",".join(map(fmt_float, row)) + "\n" for row in table))
+        block = re.search(r"```sh\n(.*?)```", self.section(), re.S).group(1)
+        lines = block.splitlines()
+        assert "--out matrix.csv" in lines[0]
+        for line in lines:
+            program, *argv = shlex.split(line, comments=True)
+            assert program == "pnormdist"
+            assert main(argv) == 0, line

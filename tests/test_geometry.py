@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -119,6 +120,9 @@ class TestPointSet:
             PointSet(np.array([1.0, 2.0]))  # not 2-d
         with pytest.raises(ValueError):
             PointSet(np.array([[1.0], [float("nan")]]))
+        empty = "need n >= 1 points of dimension d >= 1, got shape (0, 2)"
+        with pytest.raises(ValueError, match=re.escape(empty)):
+            PointSet(np.zeros((0, 2)))
 
     def test_immutable(self):
         pts = PointSet(np.array(UNIT_SQUARE))

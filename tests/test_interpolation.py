@@ -34,8 +34,14 @@ LEAVES = [
     for make in (identity, multiquadric, exponential, *(partial(power, tau) for tau in (0.5, 1, 2)))
     for convention in (DISTANCE, SQUARED_DISTANCE, PTH_POWER_DISTANCE)
 ]
-# every catalog leaf and every depth-1 composition of two leaves
-CATALOG = LEAVES + [compose(outer, inner) for outer in LEAVES for inner in LEAVES]
+# every catalog leaf and every depth-1 composition of two leaves; an outer
+# profile keeps the distance convention, since it consumes inner's values
+CATALOG = LEAVES + [
+    compose(outer, inner)
+    for outer in LEAVES
+    if outer.input_convention == DISTANCE
+    for inner in LEAVES
+]
 
 
 class TestFit:
@@ -52,6 +58,12 @@ class TestFit:
         s = fit([[1.0]], [5.0], 2.0, multiquadric())
         assert s.coefficients[0] == pytest.approx(5.0)  # profile(0) = 1
         assert s(np.array([1.0])) == pytest.approx(5.0)
+
+    def test_rejects_malformed_data(self):
+        with pytest.raises(ValueError, match=re.escape("data must have shape (4,), got (3,)")):
+            fit(UNIT_SQUARE, [1.0, 2.0, 3.0], 1.5)
+        with pytest.raises(ValueError, match="^data values must be finite$"):
+            fit(UNIT_SQUARE, [1.0, 2.0, float("nan"), 4.0], 1.5)
 
     def test_guaranteed_regime_random_points(self):
         rng = np.random.default_rng(31)
@@ -257,6 +269,8 @@ class TestEvaluate:
         s = fit([[0.0], [1.0]], [0.0, 1.0], 1.5)
         with pytest.raises(ValueError, match="shape"):
             s(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=re.escape("queries must have shape (k, 1), got (3, 2)")):
+            s.evaluate_many(np.zeros((3, 2)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_queries_rejected(self, bad):

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -94,9 +96,10 @@ class TestFamily:
     def test_catalog_family(self, profile, family):
         assert profile.family == family
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown profile family"):
-            profiles.RadialProfile(kind="identity", family="cnd-1")
+    def test_family_is_derived_not_stored(self):
+        # the class follows from the expression, so no caller can set one
+        fields = [field.name for field in dataclasses.fields(profiles.RadialProfile)]
+        assert fields == ["kind", "tau", "outer", "inner", "input_convention"]
 
 
 # (profile, p, n, distinct, class) rows beyond the single cases below
@@ -212,17 +215,19 @@ class TestMatrixFromProfile:
         assert res2.predicted == POSITIVE_DEFINITE
         assert res2.min_eigenvalue > 0.0
 
-    def test_mismatch_raises(self):
-        # a doctored profile claiming a CND1 family it does not have: the
+    def test_mismatch_raises(self, monkeypatch):
+        # a doctored prediction of a class the profile does not have: the
         # exponential matrix is positive definite, hence not AND, so the
         # observed verdict contradicts the (false) prediction
         rng = np.random.default_rng(26)
         x = rng.standard_normal((4, 2))
-        bad = profiles.RadialProfile(
-            kind="exponential", input_convention=DISTANCE, family=STRICTLY_CND1
-        )
-        with pytest.raises(VerdictMismatchError):
-            matrix_from_profile(x, 1.5, bad)
+        monkeypatch.setattr(profiles, "predict", lambda *args: ("strictly-AND", "a doctored fact"))
+        with pytest.raises(VerdictMismatchError, match=r"^predicted strictly-AND \(a doctored fact\)"):
+            matrix_from_profile(x, 1.5, exponential())
+
+    def test_rejects_one_point(self):
+        with pytest.raises(ValueError, match=r"^need n >= 2 points for a meaningful verdict$"):
+            matrix_from_profile([[0.0, 1.0]], 1.5, identity())
 
 
 class TestJson:
@@ -240,12 +245,29 @@ class TestJson:
             "outer": {"kind": "power", "tau": 0.5},
             "inner": {"kind": "power", "tau": 0.75, "input_convention": PTH_POWER_DISTANCE},
         }
-        assert from_json_dict(d) == compose(power(0.5), power(0.75, PTH_POWER_DISTANCE))
-        # a composition's own convention overrides the one it takes from inner
-        d["input_convention"] = SQUARED_DISTANCE
-        assert from_json_dict(d) == compose(
-            power(0.5), power(0.75, PTH_POWER_DISTANCE), SQUARED_DISTANCE
+        made = from_json_dict(d)
+        assert made == compose(power(0.5), power(0.75, PTH_POWER_DISTANCE))
+        # a composition consumes what its inner profile consumes
+        assert made.input_convention == PTH_POWER_DISTANCE
+
+    def test_an_outer_convention_is_an_error(self):
+        # outer consumes inner's values, so a convention there could only be ignored
+        message = (
+            "outer profile identity has input convention 'squared-distance'; "
+            "put the convention on the inner profile"
         )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compose(identity(SQUARED_DISTANCE), identity())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            profiles.RadialProfile("composition", outer=identity(SQUARED_DISTANCE), inner=identity())
+        for convention in (SQUARED_DISTANCE, PTH_POWER_DISTANCE):
+            outer = {"kind": "exponential", "input_convention": convention}
+            with pytest.raises(ValueError, match="^outer profile exponential has input convention"):
+                from_json_dict({"kind": "composition", "outer": outer, "inner": {"kind": "identity"}})
+        # the default, written out, is no conflict
+        outer = {"kind": "exponential", "input_convention": DISTANCE}
+        made = from_json_dict({"kind": "composition", "outer": outer, "inner": {"kind": "identity"}})
+        assert made == compose(exponential(), identity())
 
     def test_convention_defaults_to_distance(self):
         assert from_json_dict({"kind": "power", "tau": 0.5}).input_convention == DISTANCE
@@ -272,6 +294,9 @@ class TestJson:
             {"kind": "exponential", "tau": 1.0},
             {"kind": "identity", "input_convention": ""},
             {"kind": "identity", "input_convention": "bogus"},
+            {"kind": "identity", "input_convention": None},
+            {"kind": "composition", "outer": {"kind": "identity"}, "inner": {"kind": "identity"},
+             "input_convention": DISTANCE},
             {"kind": "composition"},
             {"kind": "composition", "outer": {"kind": "identity"}},
             {"kind": "composition", "outer": {"kind": "identity"}, "inner": 3},
