@@ -17,7 +17,8 @@ embedding here follows that construction, fixing y^n = 0.
 
 A strictly AND matrix with non-negative trace has n-1 negative and 1
 positive eigenvalue, hence (-1)^(n-1) det A > 0; `check_and` reads that
-sign from the pivots of A's LDL^T factorization.
+sign from the pivots of A's LDL^T factorization, whose LAPACK call in
+`ldl_factor` is the one place this module loads scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import EmbeddingError, NotAndError
 
@@ -110,6 +110,10 @@ def ldl_factor(A):
     Upper storage matches LAPACK's dsysv routine, so solves agree with it bit
     for bit.
     """
+    # imported here, not at module level: scipy.linalg costs most of a CLI start
+    # and only a factorization needs it; a repeat import is a sys.modules lookup
+    from scipy.linalg import lapack
+
     n = A.shape[0]
     lwork = max(1, int(lapack.dsytrf_lwork(n, lower=0)[0]))
     lu, ipiv, _ = lapack.dsytrf(A, lower=0, lwork=lwork)

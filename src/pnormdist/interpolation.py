@@ -14,6 +14,8 @@ The solver is the one Bunch-Kaufman LDL^T factorization of
 `andmatrix.ldl_factor` (the matrix is not positive definite, so plain
 Cholesky would be wrong): dsytrs solves with its factors and dsycon gives
 the condition estimate, LAPACK's 1-norm estimate ||A||_1 ||A^-1||_1.
+scipy, which supplies LAPACK, is loaded when `fit` first factors a matrix, not
+on import.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import profiles as prof
 from .andmatrix import VERDICT_STRICTLY_AND, check_and, ldl_factor
@@ -114,6 +115,9 @@ def fit(
                 )
             return Interpolant(pts, np.zeros(1), p, profile, float("inf"), False)
         return Interpolant(pts, f / phi0, p, profile, 1.0, guaranteed)
+
+    # imported here for the reason given in andmatrix.ldl_factor
+    from scipy.linalg import lapack
 
     A = build_distance_matrix(pts, p, profile).entries
     lu, ipiv, _ = ldl_factor(A)

@@ -73,6 +73,12 @@ class RadialProfile:
                 f"outer profile {self.outer.describe()} has input convention "
                 f"{quote(self.outer.input_convention)}; put the convention on the inner profile"
             )
+        if self.kind == "composition" and self.input_convention != self.inner.input_convention:
+            raise ValueError(
+                f"composition input convention {quote(self.input_convention)} differs from "
+                f"{quote(self.inner.input_convention)} of inner profile {self.inner.describe()}; "
+                "a composition consumes what its inner profile consumes"
+            )
 
     @cached_property
     def family(self) -> Optional[str]:
@@ -151,7 +157,7 @@ def compose(outer: RadialProfile, inner: RadialProfile) -> RadialProfile:
 def _evaluate(profile: RadialProfile, t):
     """The scalar map at t >= 0 (scalar or array), with no overflow check."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # nan fails too
         raise ValueError("profile argument must be non-negative")
     if profile.kind == "identity":
         out = arr

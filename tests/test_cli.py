@@ -853,6 +853,55 @@ class TestBlasThreads:
         assert np.abs(eig_one - eig_two).max() <= 1e-15 * np.abs(eig_one).max()
 
 
+class TestDeferredScipy:
+    """scipy.linalg is imported by the two functions that call LAPACK, so a
+    command that factors no matrix starts without it."""
+
+    # prints, after `import pnormdist`, after `import pnormdist.cli` and after
+    # cli.main(argv), whether scipy.linalg is loaded; then main's exit code
+    PROBE = (
+        "import json, sys\n"
+        "import pnormdist\n"
+        "seen = ['scipy.linalg' in sys.modules]\n"
+        "from pnormdist import cli\n"
+        "seen.append('scipy.linalg' in sys.modules)\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "seen.append('scipy.linalg' in sys.modules)\n"
+        "print(json.dumps([seen, rc]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "distmat square.csv --p 1.5 --out m.csv",
+            "embed l1.csv --out e.csv",
+            "find-pn --n-min 2 --n-max 3 --out pn.csv",
+            "scan-psi --n 1,2 --p-grid 2:3:0.5 --out psi.csv",
+            "singular-config --m 2 --n 2 --out-points p.csv --out-cert c.json",
+            "singular-config --n 2 --p 3 --out-points p.csv --out-cert c.json",
+            "check-and square.csv --p 1.5",
+            "interp data.csv --p 1.5 --query-file queries.csv --out v.csv",
+        ],
+    )
+    def test_scipy_linalg_loads_only_to_factor(self, tmp_path, argv):
+        (tmp_path / "square.csv").write_text(UNIT_SQUARE_CSV)
+        (tmp_path / "l1.csv").write_text(
+            "".join(",".join(map(fmt_float, row)) + "\n" for row in UNIT_SQUARE_1NORM)
+        )
+        (tmp_path / "data.csv").write_text("0,0,1\n1,0,0\n1,1,0\n0,1,0\n")
+        (tmp_path / "queries.csv").write_text("0.5,0.5\n0.25,1\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-c", self.PROBE, *argv.split()],
+            cwd=tmp_path, env=env, capture_output=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        seen, rc = json.loads(run.stdout.decode().splitlines()[-1])
+        assert rc == 0
+        assert seen == [False, False, argv.split()[0] in ("check-and", "interp")]
+
+
 class TestReadme:
     """README's "Command line" section names exactly the flags the parser has,
     the profile kinds and the input conventions, and its commands run."""

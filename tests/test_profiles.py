@@ -46,6 +46,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             identity()(-0.1)
 
+    @pytest.mark.parametrize("t", [float("nan"), np.array([np.nan, 1.0])], ids=["scalar", "array"])
+    def test_rejects_nan_argument(self, t):
+        # nan < 0 is False, so a check for negatives alone let nan through
+        for prof in (identity(), power(0.5), compose(multiquadric(), power(0.5))):
+            with pytest.raises(ValueError, match="^profile argument must be non-negative$"):
+                prof(t)
+
     def test_overflowing_values_name_the_profile_and_p(self):
         # 2^500 is a double, its cube is not
         with pytest.raises(ValueError, match=r"power\(3\) overflows a double at p = 0\.002"):
@@ -268,6 +275,22 @@ class TestJson:
         outer = {"kind": "exponential", "input_convention": DISTANCE}
         made = from_json_dict({"kind": "composition", "outer": outer, "inner": {"kind": "identity"}})
         assert made == compose(exponential(), identity())
+
+    def test_a_hand_built_composition_takes_its_inner_convention(self):
+        # built without compose, the composition's own convention defaulted to
+        # distance and the inner one was dead: [4.0] at p = 2 mapped to [2.0]
+        message = (
+            "composition input convention 'distance' differs from 'squared-distance' of "
+            "inner profile identity; a composition consumes what its inner profile consumes"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            profiles.RadialProfile("composition", outer=identity(), inner=identity(SQUARED_DISTANCE))
+        made = profiles.RadialProfile(
+            "composition", outer=identity(), inner=identity(SQUARED_DISTANCE),
+            input_convention=SQUARED_DISTANCE,
+        )
+        assert made == compose(identity(), identity(SQUARED_DISTANCE))
+        assert np.array_equal(made.apply_to_power_sums([4.0], 2.0), [4.0])
 
     def test_convention_defaults_to_distance(self):
         assert from_json_dict({"kind": "power", "tau": 0.5}).input_convention == DISTANCE
