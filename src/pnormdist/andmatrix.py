@@ -17,8 +17,8 @@ embedding here follows that construction, fixing y^n = 0.
 
 A strictly AND matrix with non-negative trace has n-1 negative and 1
 positive eigenvalue, hence (-1)^(n-1) det A > 0; `check_and` reads that
-sign from the pivots of A's LDL^T factorization, whose LAPACK call in
-`ldl_factor` is the one place this module loads scipy.
+sign from the restricted spectrum and one solve with B' (Haynsworth's
+inertia formula). The module needs numpy.linalg alone, not scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ VERDICT_STRICTLY_AND = "strictly-AND"
 
 _VERDICT_RANK = {VERDICT_NOT_AND: 0, VERDICT_AND: 1, VERDICT_STRICTLY_AND: 2}
 
-EIG_TOL = 1e-10  # eigenvalue and pivot cut-off, relative to |A|_max
+EIG_TOL = 1e-10  # eigenvalue and determinant cut-off, relative to |A|_max
 
 
 def verdict_rank(verdict: str) -> int:
@@ -48,6 +48,8 @@ def _require_symmetric(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if not np.isfinite(A).all():  # nan != nan would read as asymmetric
+        raise ValueError("matrix entries must be finite")
     if not np.array_equal(A, A.T):
         raise ValueError("matrix must be symmetric")
     return A
@@ -86,8 +88,9 @@ def restrict_to_zero_sum(A) -> np.ndarray:
 
     Returns the (n-1) x (n-1) matrix B' with B'_ij = A_in + A_nj - A_ij - A_nn.
     A is AND iff B' is non-negative definite; strictly AND iff positive
-    definite. This is where A is validated: it must be square, symmetric and
-    n >= 2. Raises ValueError when an entry of B' overflows a double.
+    definite. This is where A is validated: it must be square, finite,
+    symmetric and n >= 2. Raises ValueError when an entry of B' overflows a
+    double.
     """
     A = _require_symmetric(A)
     n = A.shape[0]
@@ -100,54 +103,47 @@ def restrict_to_zero_sum(A) -> np.ndarray:
     return B
 
 
-def ldl_factor(A):
-    """Bunch-Kaufman LDL^T factorization of a symmetric A (LAPACK dsytrf).
+def det_sign_logmag(A: np.ndarray, B: np.ndarray, mu: np.ndarray, cut: float):
+    """Sign and log-magnitude of det(A) from its restricted spectrum mu = eig(B).
 
-    Returns (lu, ipiv, pivots): `lu` and `ipiv` are dsytrf's factors of
-    A = U D U^T in upper storage, ready for dsytrs and dsycon; `pivots` holds
-    the eigenvalues of D's 1x1 and 2x2 diagonal blocks. By Sylvester's law of
-    inertia their signs are the inertia of A, and their product is det A.
-    Upper storage matches LAPACK's dsysv routine, so solves agree with it bit
-    for bit.
+    T^T A T = [[-B, c], [c^T, a]] for T's columns e^n - e^i (i < n) and e^n,
+    with c_i = A_nn - A_in and a = A_nn, and |det T| = 1. By the number z
+    of mu_i with |mu_i| <= cut: z = 0 gives det A = det(-B) s with
+    s = a + c^T B^-1 c (Haynsworth); z = 1 takes B = Q diag(mu) Q^T and
+    b = Q^T c, and with mu_k the small one gives det A = prod_{i!=k} (-mu_i)
+    det [[-mu_k, b_k], [b_k, r]], r = a + sum_{i!=k} b_i^2 / mu_i, exact for
+    any mu_k; z >= 2 gives det A = 0 (A has a null vector in the zero-sum
+    hyperplane). det A is zero, returned as (0, None), when |s| or the
+    smaller eigenvalue in magnitude of that 2x2 block is at most `cut`, as
+    for a pivot, or when the solve with B fails. The log-magnitude is a sum
+    of logs, so it never overflows; `check_and` scales the cut-off with A.
     """
-    # imported here, not at module level: scipy.linalg costs most of a CLI start
-    # and only a factorization needs it; a repeat import is a sys.modules lookup
-    from scipy.linalg import lapack
-
-    n = A.shape[0]
-    lwork = max(1, int(lapack.dsytrf_lwork(n, lower=0)[0]))
-    lu, ipiv, _ = lapack.dsytrf(A, lower=0, lwork=lwork)
-    diag, off, kinds = np.diag(lu).tolist(), np.diag(lu, 1).tolist(), ipiv.tolist()
-    pivots, k = [], 0
-    while k < n:
-        if kinds[k] > 0:  # 1x1 block
-            pivots.append(diag[k])
-            k += 1
-        else:  # 2x2 block [[a, b], [b, c]]: larger-magnitude eigenvalue, then det / it
-            # at unit scale a*c - b*b cannot overflow; power-of-two scaling is exact
-            e = math.frexp(max(abs(diag[k]), abs(off[k]), abs(diag[k + 1])))[1]
-            a, b, c = (math.ldexp(v, -e) for v in (diag[k], off[k], diag[k + 1]))
-            mean = 0.5 * (a + c)
-            big = mean + math.copysign(math.hypot(0.5 * (a - c), b), mean)
-            pivots += [math.ldexp(big, e), math.ldexp((a * c - b * b) / big, e)]
-            k += 2
-    return lu, ipiv, np.array(pivots)
-
-
-def det_sign_logmag(A: np.ndarray, cut: float):
-    """Sign and log-magnitude of det(A) from the pivots of the LDL^T factorization.
-
-    The sign is (-1)^(number of negative pivots) and the log-magnitude the
-    sum of log|pivot|, so the magnitude never overflows; a pivot at or below
-    `cut` makes the determinant numerically zero, returned as (0, None).
-    The caller validates A (a symmetric float array) and scales the cut-off
-    with A, as `check_and` does, so the answer does not depend on its units.
-    """
-    _, _, pivots = ldl_factor(A)
-    if np.any(np.abs(pivots) <= cut):
+    c = A[-1, -1] - A[:-1, -1]
+    (small,) = np.nonzero(np.abs(mu) <= cut)
+    if len(small) > 1:
         return 0, None
-    sign = -1 if np.count_nonzero(pivots < 0) % 2 else 1
-    return sign, float(np.sum(np.log(np.abs(pivots))))
+    if len(small) == 1:
+        mu, Q = np.linalg.eigh(B)
+        b = Q.T @ c
+        rest = np.arange(len(mu)) != small[0]
+        mu_k, b_k, mu = float(mu[small[0]]), float(b[small[0]]), mu[rest]
+        r = float(A[-1, -1] + np.sum(b[rest] * (b[rest] / mu)))
+        # the block's larger eigenvalue in magnitude bounds |mu_k|, |b_k| and
+        # |r|, so dividing its determinant by it cannot overflow
+        big = 0.5 * abs(r - mu_k) + math.hypot(0.5 * (r + mu_k), b_k)
+        if big == 0.0:
+            return 0, None
+        factor, log_big = -b_k * (b_k / big) - mu_k * (r / big), math.log(big)
+    else:
+        try:
+            factor = float(A[-1, -1] + c @ np.linalg.solve(B, c))
+        except np.linalg.LinAlgError:  # B is singular in working precision
+            return 0, None
+        log_big = 0.0
+    if abs(factor) <= cut:
+        return 0, None
+    sign = -1 if (np.count_nonzero(mu > 0) + (factor < 0.0)) % 2 else 1
+    return sign, float(np.sum(np.log(np.abs(mu)))) + log_big + math.log(abs(factor))
 
 
 def check_and(A) -> AndReport:
@@ -155,9 +151,9 @@ def check_and(A) -> AndReport:
 
     Eigenvalue comparisons are relative to scale = |A|_max, so the verdict
     does not change when A is multiplied by a positive number; the
-    determinant sign and log-magnitude come from the pivots of A's one
-    Bunch-Kaufman LDL^T factorization (`det_sign_logmag`), with the same
-    cut-off EIG_TOL * |A|_max.
+    determinant sign and log-magnitude come from the same spectrum and one
+    solve with B' (`det_sign_logmag`), with the same cut-off
+    EIG_TOL * |A|_max. Only numpy.linalg runs here.
     """
     A = np.asarray(A, dtype=float)
     B = restrict_to_zero_sum(A)
@@ -169,7 +165,7 @@ def check_and(A) -> AndReport:
         verdict = VERDICT_AND
     else:
         verdict = VERDICT_NOT_AND
-    sign, logmag = det_sign_logmag(A, cut)
+    sign, logmag = det_sign_logmag(A, B, mu, cut)
     restricted = np.sort(-mu)
     return AndReport(
         verdict=verdict,

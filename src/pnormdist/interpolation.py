@@ -10,12 +10,12 @@ A positive definite. A solve failure there is a numerical breakdown; other
 (p, profile) pairs carry no guarantee, and a singular system raises with
 the matrix's AND report and the prediction's source.
 
-The solver is the one Bunch-Kaufman LDL^T factorization of
-`andmatrix.ldl_factor` (the matrix is not positive definite, so plain
-Cholesky would be wrong): dsytrs solves with its factors and dsycon gives
-the condition estimate, LAPACK's 1-norm estimate ||A||_1 ||A^-1||_1.
+The solver is one Bunch-Kaufman LDL^T factorization, LAPACK's dsytrf in
+the upper storage that dsysv uses (the matrix is not positive definite, so
+plain Cholesky would be wrong): dsytrs solves with its factors and dsycon
+gives the condition estimate, LAPACK's 1-norm estimate ||A||_1 ||A^-1||_1.
 scipy, which supplies LAPACK, is loaded when `fit` first factors a matrix, not
-on import.
+on import; nothing else in the package loads it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import profiles as prof
-from .andmatrix import VERDICT_STRICTLY_AND, check_and, ldl_factor
+from .andmatrix import VERDICT_STRICTLY_AND, check_and
 from .errors import CertificationError, SingularSystemError
 from .geometry import (
     PointSet,
@@ -116,11 +116,13 @@ def fit(
             return Interpolant(pts, np.zeros(1), p, profile, float("inf"), False)
         return Interpolant(pts, f / phi0, p, profile, 1.0, guaranteed)
 
-    # imported here for the reason given in andmatrix.ldl_factor
+    # imported here, not at module level: scipy.linalg costs most of a CLI start
+    # and only a fit needs it; a repeat import is a sys.modules lookup
     from scipy.linalg import lapack
 
     A = build_distance_matrix(pts, p, profile).entries
-    lu, ipiv, _ = ldl_factor(A)
+    lwork = max(1, int(lapack.dsytrf_lwork(pts.n, lower=0)[0]))
+    lu, ipiv, _ = lapack.dsytrf(A, lower=0, lwork=lwork)
     coeffs = lapack.dsytrs(lu, ipiv, f)[0]
     fnorm = float(np.linalg.norm(f))
     denom = fnorm if fnorm > 0.0 else 1.0

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,6 @@ from pnormdist import andmatrix
 from pnormdist.andmatrix import (
     check_and,
     det_sign_logmag,
-    ldl_factor,
     restrict_to_zero_sum,
     schoenberg_embed,
 )
@@ -66,6 +66,15 @@ class TestRestrictToZeroSum:
     def test_rejects_overflow(self):
         with pytest.raises(ValueError, match="overflows"):
             restrict_to_zero_sum(np.array([[0.0, 1e308], [1e308, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("func", [check_and, restrict_to_zero_sum, schoenberg_embed])
+    def test_rejects_non_finite_entries(self, func, bad):
+        # nan != nan once read as "not symmetric", and inf as an overflow
+        A = UNIT_SQUARE_1NORM.copy()
+        A[0, 1] = A[1, 0] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            func(A)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -316,26 +325,33 @@ class TestSchoenbergEmbed:
             assert np.abs(emb.squared_distances() - A).max() < 1e-9
 
 
-class TestLdlFactor:
+class TestDetSignLogmag:
+    """The determinant from the restricted spectrum, against slogdet and eigvalsh."""
+
+    @staticmethod
+    def det(A, cut):
+        B = restrict_to_zero_sum(A)
+        return det_sign_logmag(A, B, np.linalg.eigvalsh(B), cut)
+
     @settings(max_examples=200, deadline=None)
     @given(
         m=arrays(
             np.float64,
-            st.integers(1, 8).map(lambda n: (n, n)),
+            st.integers(2, 8).map(lambda n: (n, n)),
             elements=st.floats(-10, 10, allow_subnormal=False),
         ),
         zero_diagonal=st.booleans(),
     )
-    # a 2x2 pivot block whose determinant -x^2 underflows to a subnormal
+    # det A = -x^2 underflows to a subnormal
     @example(m=np.array([[0.0, 4.48586106e-159], [4.48586106e-159, 0.0]]), zero_diagonal=True)
     # an eigenvalue of about +1e-16 that eigvalsh reports as -1e-16
     @example(m=TINY_EIGENVALUE, zero_diagonal=False)
     def test_matches_slogdet_and_eigvalsh(self, m, zero_diagonal):
-        # a zero diagonal (the distance-matrix case) forces 2x2 pivots
+        # a zero diagonal is the distance-matrix case
         A = np.triu(m) + np.triu(m, 1).T
         if zero_diagonal:
             np.fill_diagonal(A, 0.0)
-        sign, logmag = det_sign_logmag(A, 1e-10 * np.abs(A).max())
+        sign, logmag = self.det(A, 1e-10 * np.abs(A).max())
         if sign == 0:
             return
         ref_sign, ref_logmag = np.linalg.slogdet(A)
@@ -346,15 +362,130 @@ class TestLdlFactor:
         # zero than its backward error, a small multiple of eps * |A|max
         eigs = np.linalg.eigvalsh(A)
         if np.abs(eigs).min() > 1e-8 * np.abs(A).max():
-            _, _, pivots = ldl_factor(A)
-            assert np.count_nonzero(pivots < 0) == np.count_nonzero(eigs < 0)
+            assert sign == (-1) ** np.count_nonzero(eigs < 0)
 
     def test_inertia_beside_a_tiny_eigenvalue(self):
-        # A's eigenvalues are -1, 1, about (1 - sqrt 5)/2 and (1 + sqrt 5)/2, and
-        # about +1e-16, since det A = -1e-16: exactly two are negative
+        # A's eigenvalues are -1, 1, (1 - sqrt 5)/2, (1 + sqrt 5)/2 and one of
+        # about +1e-16, since det A = +1e-16 (a 50-digit mpmath determinant):
+        # exactly two are negative. eigvalsh resolves the four of order 1 and
+        # reports the tiny one as -1e-16; the restricted spectrum and s, with no
+        # cut-off, still give the sign and magnitude
         A = np.triu(TINY_EIGENVALUE) + np.triu(TINY_EIGENVALUE, 1).T
-        _, _, pivots = ldl_factor(A)
-        assert np.count_nonzero(pivots < 0) == 2
+        eigs = np.linalg.eigvalsh(A)
+        clear = eigs[np.abs(eigs) > 1e-8]
+        assert len(clear) == 4 and np.count_nonzero(clear < 0) == 2
+        sign, logmag = self.det(A, 0.0)
+        assert sign == (-1) ** 2
+        assert logmag == pytest.approx(math.log(1e-16), rel=1e-12)
+
+
+class TestDetAgainstMpmath:
+    """det_sign against a 50-digit determinant on integer grids, for p on both
+    sides of 1 and of 2, with distances and squared distances."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cells=st.integers(1, 3).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(-3, 3)] * d), min_size=2, max_size=8, unique=True
+            )
+        ),
+        p=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.3, 4.0)),
+        squared=st.booleans(),
+    )
+    # z = 0: a strictly AND matrix
+    @example(cells=[(0, 0), (1, 0), (0, 1), (2, 3)], p=1.5, squared=False)
+    # z = 1 with det A = 8: B' has eigenvalues {0, 10}
+    @example(cells=[(0, 0), (1, 0), (0, 1)], p=0.5, squared=False)
+    # z = 1 with det A = 0: the unit square in the 1-norm
+    @example(cells=[(0, 0), (1, 0), (1, 1), (0, 1)], p=1.0, squared=False)
+    # z = 2: squared distances of 4 collinear points, B' of rank 1
+    @example(cells=[(0,), (1,), (2,), (3,)], p=2.0, squared=True)
+    def test_det_sign_matches_mpmath(self, cells, p, squared):
+        A = build_distance_matrix(np.array(cells, dtype=float), p).entries
+        if squared:
+            A = A * A
+        rep = check_and(A)
+        with mpmath.workdps(50):
+            det = mpmath.det(mpmath.matrix(A.tolist()))
+        if rep.det_sign != 0:
+            assert rep.det_sign == mpmath.sign(det)
+            expected = float(mpmath.log(abs(det)))
+            assert rep.det_log_magnitude == pytest.approx(expected, rel=1e-8, abs=1e-8)
+        # a determinant read as zero belongs to an eigenvalue near the cut-off
+        if np.abs(np.linalg.eigvalsh(A)).min() > 1e-6 * np.abs(A).max():
+            assert rep.det_sign != 0
+
+    @staticmethod
+    def from_restriction(B, c, a):
+        # the A with restrict_to_zero_sum(A) = B, A_nn - A_in = c_i and A_nn = a
+        n = len(c) + 1
+        A = np.full((n, n), float(a))
+        A[:-1, -1] = A[-1, :-1] = a - c
+        A[:-1, :-1] = a - (c[:, None] + c[None, :]) - B
+        return A
+
+    @staticmethod
+    def mp_det(A):
+        with mpmath.workdps(50):
+            return mpmath.det(mpmath.matrix(A.tolist()))
+
+    @pytest.mark.parametrize(
+        "mu, c, expected_sign",
+        [
+            # det A = -mu - c^2 = 5e-11 - 4e-20 > 0, with mu inside the cut-off
+            # 1e-10: the -mu a term outweighs b^2, and the smaller eigenvalue of
+            # the block [[-mu, c], [c, 1]], about 5e-11, makes det A zero
+            (-5e-11, 2e-10, 0),
+            (-5e-11, 1e-3, -1),
+            (5e-11, 1e-3, -1),
+            (0.0, 1e-3, -1),
+            (0.0, 0.0, 0),
+        ],
+    )
+    def test_two_point_with_a_small_restricted_eigenvalue(self, mu, c, expected_sign):
+        A = self.from_restriction(np.array([[mu]]), np.array([c]), 1.0)
+        rep = check_and(A)
+        det = self.mp_det(A)
+        assert rep.det_sign == expected_sign
+        if expected_sign != 0:
+            assert expected_sign == mpmath.sign(det)
+            assert rep.det_log_magnitude == pytest.approx(float(mpmath.log(abs(det))), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        mu_k=st.sampled_from([0.0, 1e-13, -1e-13, 5e-11, -5e-11, 1e-10, -1e-10]),
+        c_scale=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-5, 1.0]),
+    )
+    def test_one_small_restricted_eigenvalue_matches_mpmath(self, n, seed, mu_k, c_scale):
+        # B' = Q diag(mu) Q^T with one mu_k at or inside the cut-off, so the
+        # z = 1 path runs with a small but possibly nonzero mu_k
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+        mu = rng.uniform(0.5, 2.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        mu[0] = mu_k
+        B = (Q * mu) @ Q.T
+        A = self.from_restriction((B + B.T) / 2.0, c_scale * rng.standard_normal(n - 1), 1.0)
+        rep = check_and(A)
+        det = self.mp_det(A)
+        if rep.det_sign != 0:
+            assert rep.det_sign == mpmath.sign(det)
+            expected = float(mpmath.log(abs(det)))
+            assert rep.det_log_magnitude == pytest.approx(expected, rel=1e-6, abs=1e-6)
+        # a determinant read as zero belongs to an eigenvalue of A near the cut-off
+        if np.abs(np.linalg.eigvalsh(A)).min() > 1e-6 * np.abs(A).max():
+            assert rep.det_sign != 0
+
+    def test_failed_solve_reads_as_zero(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rep = check_and(TWO_POINT)
+        assert rep.verdict == "strictly-AND"
+        assert rep.det_sign == 0 and rep.det_log_magnitude is None
 
 
 class TestDetSignCertificate:
@@ -403,12 +534,12 @@ class TestValidateOnce:
         assert len(calls) == 1
 
     def test_embed_needs_no_verdict_or_factorization(self, monkeypatch):
-        # one eigendecomposition of B' gates and factors; check_and and the
-        # LDL^T factorization run only to explain a not-AND matrix
+        # one eigendecomposition of B' gates and factors; check_and and its
+        # determinant run only to explain a not-AND matrix
         def fail(*args, **kwargs):
             raise AssertionError("called on the success path")
 
         monkeypatch.setattr(andmatrix, "check_and", fail)
-        monkeypatch.setattr(andmatrix, "ldl_factor", fail)
+        monkeypatch.setattr(andmatrix, "det_sign_logmag", fail)
         emb = schoenberg_embed(UNIT_SQUARE_1NORM)
         assert np.abs(emb.squared_distances() - UNIT_SQUARE_1NORM).max() < 1e-12

@@ -854,8 +854,8 @@ class TestBlasThreads:
 
 
 class TestDeferredScipy:
-    """scipy.linalg is imported by the two functions that call LAPACK, so a
-    command that factors no matrix starts without it."""
+    """scipy.linalg is imported inside `fit`, the one function that calls
+    LAPACK, so of the commands only `interp` loads it."""
 
     # prints, after `import pnormdist`, after `import pnormdist.cli` and after
     # cli.main(argv), whether scipy.linalg is loaded; then main's exit code
@@ -899,7 +899,27 @@ class TestDeferredScipy:
         assert run.returncode == 0, run.stderr.decode()
         seen, rc = json.loads(run.stdout.decode().splitlines()[-1])
         assert rc == 0
-        assert seen == [False, False, argv.split()[0] in ("check-and", "interp")]
+        assert seen == [False, False, argv.split()[0] == "interp"]
+
+    def test_library_loads_scipy_linalg_only_to_fit(self):
+        probe = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from pnormdist import check_and, fit, matrix_from_profile, multiquadric\n"
+            "square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]\n"
+            "matrix_from_profile(square, 1.5, multiquadric())\n"
+            "check_and(np.ones((3, 3)) - np.eye(3))\n"
+            "seen = ['scipy.linalg' in sys.modules]\n"
+            "fit(square, [1.0, 0.0, 0.0, 0.0], 1.5)\n"
+            "seen.append('scipy.linalg' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-W", "error", "-c", probe],
+                             env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr.decode()
+        assert json.loads(run.stdout.decode().splitlines()[-1]) == [False, True]
 
 
 class TestReadme:
