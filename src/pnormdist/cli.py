@@ -132,6 +132,8 @@ def cmd_find_pn(args) -> int:
 
 
 def cmd_singular_config(args) -> int:
+    if args.cert_cap < 1:
+        raise InputError(f"--cert-cap must be >= 1, got {args.cert_cap}")
     if args.p is not None:
         n = args.n if args.n is not None else args.m
         if n is None:

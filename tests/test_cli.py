@@ -264,6 +264,10 @@ class TestArgumentErrors:
              "theta scaling applies to equal cubes: --p requires m = n"),
             (["singular-config", "--m", "2"], "need --m and --n (or --n with --p)"),
             (["singular-config", "--m", "1", "--n", "3"], "m and n must be >= 2, got m=1, n=3"),
+            (["singular-config", "--n", "3", "--p", "3", "--cert-cap", "0"],
+             "--cert-cap must be >= 1, got 0"),
+            (["singular-config", "--m", "2", "--n", "3", "--cert-cap", "-4"],
+             "--cert-cap must be >= 1, got -4"),
             (["interp", "DATA", "--p", "1.5", "--query-file", "DATA"],
              "DATA: need d+1 columns (coordinates then value)"),
             (["distmat", "SQUARE", "--p", "1.5", "--profile", "power:0"],

@@ -4,14 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from test_acceptance import in_order_sum, pth_power_matrix
 from test_cli import assert_input_error
 
 from pnormdist import geometry
 from pnormdist.errors import InputError
 from pnormdist.geometry import (
+    BLOCK_BYTES,
     PointSet,
     build_distance_matrix,
     pow_abs,
@@ -51,6 +53,14 @@ def gathered_distance_matrix(x, p, profile):
     A[ju, iu] = vals
     np.fill_diagonal(A, 0.0 if profile is None else profile(0.0))
     return A
+
+
+@pytest.fixture(params=["chosen", "direct"])
+def kernel_path(request, monkeypatch):
+    """Run a test on the path `power_sum_blocks` chooses, and again with the
+    per-coordinate tables refused, so that direct log/exp serves every block."""
+    if request.param == "direct":
+        monkeypatch.setattr(geometry, "_coordinate_power_table", lambda x, p: None)
 
 
 class TestPExponent:
@@ -247,7 +257,10 @@ class TestBuildDistanceMatrix:
         B = build_distance_matrix(shifted, 1.4).entries
         assert np.allclose(A, B, rtol=0, atol=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    # the fixture's patch is meant to hold across examples
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(
         n=st.integers(1, 300),
         d=st.integers(1, 20),
@@ -258,7 +271,7 @@ class TestBuildDistanceMatrix:
     )
     @example(n=300, d=6, p=1.5, profile=None, grid=False, seed=0)  # 9 blocks, last partial
     @example(n=257, d=5, p=3.0, profile=multiquadric(), grid=True, seed=1)
-    def test_blocks_match_gathered_assembly(self, n, d, p, profile, grid, seed):
+    def test_blocks_match_gathered_assembly(self, kernel_path, n, d, p, profile, grid, seed):
         # integer grids make coincident points and zero coordinate differences
         rng = np.random.default_rng(seed)
         x = rng.integers(-2, 3, (n, d)).astype(float) if grid else rng.standard_normal((n, d))
@@ -271,10 +284,13 @@ class TestBuildDistanceMatrix:
             build_distance_matrix([[0.0, 0.0], [far, 0.0]], 1.5)
 
     def test_subnormal_power_sums_raise(self):
-        # squared differences near 1e-320 are subnormal and keep too few bits
-        x = np.random.default_rng(5).random((5, 2))
-        with pytest.raises(ValueError, match="below the normal double range"):
-            build_distance_matrix(x * 1e-160, 2)
+        # squared differences near 1e-320 are subnormal and keep too few bits;
+        # 5 random points take the direct log/exp, 200 grid points the
+        # per-coordinate lookup
+        rng = np.random.default_rng(5)
+        for x in (rng.random((5, 2)), rng.integers(0, 3, (200, 2)).astype(float)):
+            with pytest.raises(ValueError, match="below the normal double range"):
+                build_distance_matrix(x * 1e-160, 2)
 
     def test_peak_memory_is_output_plus_a_block(self):
         n = 3000
@@ -289,8 +305,117 @@ class TestBuildDistanceMatrix:
         assert peak < dm.entries.nbytes + 16 * 2**20
 
 
+def exp_log_pow_abs(v, p):
+    """|v|^p by the exp/log formula with no special case for zero."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(p * np.log(np.abs(v)))
+
+
+# exact zeros of either sign, subnormals, magnitudes near the double-range
+# edge and ordinary ones, of either sign
+POW_ABS_ENTRY = st.builds(
+    lambda magnitude, negative: -magnitude if negative else magnitude,
+    st.one_of(
+        st.just(0.0),
+        st.floats(5e-324, 2.2250738585072014e-308),
+        st.floats(1e300, 1.7976931348623157e308),
+        st.floats(1e-300, 1e300),
+    ),
+    st.booleans(),
+)
+
+
+class TestPowAbs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v=arrays(
+            np.float64,
+            st.one_of(
+                st.just((0,)),
+                st.tuples(st.integers(1, 40)),
+                st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6)),
+            ),
+            elements=POW_ABS_ENTRY,
+        ),
+        p=st.floats(0.0, 1100.0, exclude_min=True),
+    )
+    @example(v=np.array([0.5, -3.0, 5e-324, -1e308]), p=2.5)  # no zero
+    @example(v=np.array([0.0, -0.0, 0.0]), p=1.5)  # only zeros
+    @example(v=np.array([[[0.0, -2.0, 1e-310], [-0.0, 7.0, 0.0]]]), p=17.5)
+    def test_bitwise_equal_to_exp_log(self, v, p):
+        # a zero of either sign gives +0.0, the exp(-inf) of the formula
+        got = pow_abs(v, p)
+        assert got.shape == v.shape
+        assert np.array_equal(got.view(np.uint64), exp_log_pow_abs(v, p).view(np.uint64))
+
+
+def assert_upper_blocks_fill(x, p):
+    """The upper blocks of x cover its rows in order, each block's differences
+    fit BLOCK_BYTES unless it is one row, and all but the last fill more than
+    half of it; returns the block count."""
+    n, d = x.shape
+    blocks = [(start, stop) for start, stop, _ in power_sum_blocks(x, None, p)]
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == n
+    for k, (start, stop) in enumerate(blocks):
+        nbytes = (stop - start) * (n - start) * d * 8
+        assert nbytes <= BLOCK_BYTES or stop - start == 1
+        if k < len(blocks) - 1:
+            assert nbytes > BLOCK_BYTES // 2
+    return len(blocks)
+
+
 class TestPowerSumBlocks:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 300), d=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    @example(n=300, d=300, seed=0)  # the first 82 rows take one block each
+    def test_upper_blocks_sized_to_remaining_columns(self, n, d, seed):
+        assert_upper_blocks_fill(np.random.default_rng(seed).standard_normal((n, d)), 1.5)
+
+    def test_theta_cube_pair_blocks(self):
+        # 1024 points in R^18; blocks sized to all n columns made 342
+        p = 3.0
+        x = cube_config(9, 9, theta=find_theta(9, p).value, p=p).points.points
+        assert assert_upper_blocks_fill(x, p) <= 170
+
+    def test_lookup_only_for_few_valued_coordinates(self):
+        # the cube pair takes 3 values per coordinate; 1000 random points take
+        # 1000, whose tables would exceed BLOCK_BYTES; 20 random points take
+        # 20, whose tables would hold more terms than the upper blocks
+        p = 3.0
+        cube = cube_config(9, 9, theta=find_theta(9, p).value, p=p).points.points
+        assert geometry._coordinate_power_table(cube, p) is not None
+        rng = np.random.default_rng(8)
+        assert geometry._coordinate_power_table(rng.random((1000, 3)), p) is None
+        assert geometry._coordinate_power_table(rng.random((20, 3)), p) is None
+
     @settings(max_examples=40, deadline=None)
+    @given(
+        x=arrays(
+            np.float64,
+            st.tuples(st.integers(10, 80), st.integers(1, 8)),
+            elements=st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.0, 1e-3, -7e5]),
+        ),
+        p=st.floats(0.25, 8.0),
+    )
+    @example(x=np.tile([[0.0, -0.0], [-0.0, 1.5], [0.0, 0.0]], (4, 1)), p=1.5)
+    def test_lookup_bitwise_equal_to_in_order_sum(self, x, p):
+        # at most 7 distinct values per coordinate, signed zeros among them,
+        # and at least 10 rows, so the upper blocks read their terms from the
+        # per-coordinate tables
+        assert geometry._coordinate_power_table(x, p) is not None
+        expected = in_order_sum(pow_abs(x[:, None, :] - x[None, :, :], p))
+        n = x.shape[0]
+        upper = np.zeros((n, n))
+        for start, stop, sums in power_sum_blocks(x, None, p):
+            upper[start:stop, start:] = sums
+        iu, ju = np.triu_indices(n)
+        assert np.array_equal(upper[iu, ju].view(np.uint64), expected[iu, ju].view(np.uint64))
+
+    # the fixture's patch is meant to hold across examples
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(
         n=st.integers(1, 60),
         m=st.integers(1, 60),
@@ -311,7 +436,7 @@ class TestPowerSumBlocks:
     @example(n=25, m=50, d=129, p=1.75, grid=False, seed=5)  # 3 blocks, last partial
     @example(n=23, m=60, d=200, p=1.5, grid=False, seed=6)  # 5 blocks, last partial
     @example(n=1, m=1, d=37, p=1.5, grid=False, seed=7)  # numpy's axis-0 sum is pairwise here
-    def test_bitwise_equal_to_in_order_sum(self, n, m, d, p, grid, seed):
+    def test_bitwise_equal_to_in_order_sum(self, kernel_path, n, m, d, p, grid, seed):
         rng = np.random.default_rng(seed)
 
         def draw(k):
