@@ -53,11 +53,25 @@ CND1 = "cnd1"
 POSITIVE_DEFINITE = "positive-definite"
 
 _LEAVES = {"identity": CND1, "multiquadric": STRICTLY_CND1, "exponential": POSITIVE_DEFINITE}
+_PARAMETERS = {**dict.fromkeys(_LEAVES, ()), "power": ("tau",), "composition": ("outer", "inner")}
+_KINDS = ", ".join(_PARAMETERS)
+
+
+def _check_form(kind, given, allowed=()) -> None:
+    """ValueError unless `kind` is known and `given` holds its parameters, beside `allowed`."""
+    if not isinstance(kind, str) or kind not in _PARAMETERS:
+        raise ValueError(f"unknown profile kind {quote(kind)} (kinds: {_KINDS})")
+    params = _PARAMETERS[kind]
+    faults = [f"unexpected {quote(key)}" for key in given if key not in (*allowed, *params)]
+    faults += [f"missing {quote(key)}" for key in params if key not in given]
+    if faults:
+        takes = " and ".join(params) or "no parameter"
+        raise ValueError(f"{kind} profile takes {takes}: {', '.join(faults)}")
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Immutable descriptor of a scalar radial map; its class (`family`) follows from it."""
+    """A scalar radial map, checked on construction; its class (`family`) follows from it."""
 
     kind: str
     tau: Optional[float] = None
@@ -66,6 +80,10 @@ class RadialProfile:
     input_convention: str = DISTANCE
 
     def __post_init__(self):
+        given = [key for key in ("tau", "outer", "inner") if getattr(self, key) is not None]
+        _check_form(self.kind, given)
+        if self.kind == "power" and not 0.0 < self.tau < np.inf:  # nan fails too
+            raise ValueError(f"power exponent must be positive, got {self.tau!r}")
         if self.input_convention not in _CONVENTIONS:
             raise ValueError(f"unknown input convention: {quote(self.input_convention)}")
         if self.kind == "composition" and self.outer.input_convention != DISTANCE:
@@ -131,10 +149,7 @@ def identity(convention: str = DISTANCE) -> RadialProfile:
 
 def power(tau: float, convention: str = DISTANCE) -> RadialProfile:
     """t -> t^tau. tau > 1 is accepted but has no family."""
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise ValueError(f"power exponent must be positive, got {tau!r}")
-    return RadialProfile(kind="power", tau=tau, input_convention=convention)
+    return RadialProfile(kind="power", tau=float(tau), input_convention=convention)
 
 
 def multiquadric(convention: str = DISTANCE) -> RadialProfile:
@@ -167,10 +182,8 @@ def _evaluate(profile: RadialProfile, t):
         out = np.sqrt(1.0 + arr)
     elif profile.kind == "exponential":
         out = np.exp(-arr)
-    elif profile.kind == "composition":
+    else:  # composition, the one kind left: RadialProfile admits no other
         out = _evaluate(profile.outer, _evaluate(profile.inner, arr))
-    else:
-        raise ValueError(f"unknown profile kind: {profile.kind!r}")
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
@@ -276,7 +289,6 @@ def matrix_from_profile(x: PointsLike, p: float, profile: RadialProfile) -> Prof
 # JSON expression form
 
 
-_PARAMETERS = {**dict.fromkeys(_LEAVES, ()), "power": ("tau",), "composition": ("outer", "inner")}
 MAX_PROFILE_DEPTH = 100  # expression levels; evaluation recurses far below Python's limit
 
 
@@ -296,19 +308,10 @@ def _from_expression(obj, levels: int) -> RadialProfile:
     """`from_json_dict` for an expression that may nest `levels` levels deep."""
     if levels == 0:
         raise ValueError(f"profile expression nested deeper than {MAX_PROFILE_DEPTH} levels")
-    kinds = ", ".join(_PARAMETERS)
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"not a profile expression: {quote(obj)} (kinds: {kinds})")
+        raise ValueError(f"not a profile expression: {quote(obj)} (kinds: {_KINDS})")
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _PARAMETERS:
-        raise ValueError(f"unknown profile kind {quote(kind)} (kinds: {kinds})")
-    params = _PARAMETERS[kind]
-    known = ("kind", *params) if kind == "composition" else ("kind", "input_convention", *params)
-    faults = [f"unexpected {quote(key)}" for key in obj if key not in known]
-    faults += [f"missing {quote(key)}" for key in params if key not in obj]
-    if faults:
-        takes = " and ".join(params) or "no parameter"
-        raise ValueError(f"{kind} profile takes {takes}: {', '.join(faults)}")
+    _check_form(kind, obj, ("kind",) if kind == "composition" else ("kind", "input_convention"))
     if kind == "composition":
         return compose(*(_from_expression(obj[key], levels - 1) for key in ("outer", "inner")))
     convention = obj.get("input_convention", DISTANCE)

@@ -26,16 +26,18 @@ singularity, which covers every p > 2.
 
 `bernstein_half` and `psi` take p as a float or as a 1-D array, the scan
 of a whole p grid; an array gives bit for bit the values of the float
-calls. Each degree's binomial and node rows are built once and cached.
+calls. Each degree's weight and node rows are built once and cached.
 Their float powers of 2, theta and 1 + theta^p go through `_power`, so a
 p or theta that takes one beyond the double range raises ValueError.
 
 Root finding is plain bisection: monotonicity makes it certified-correct
-and no derivative is needed. `certify_singular` is the trust anchor for the
-2x2 reduction: on the full distance matrix it checks facts (i) and (ii)
-entry by entry and row by row against the reduced matrix, then the residual
-r = ||A v|| / (sigma_max ||v||) of an explicit block-constant null vector v.
-By Courant-Fischer sigma_min <= r sigma_max, and by Perron-Frobenius sigma_max
+and no derivative is needed. B_i rises in p and 2^(1/p) falls, so one p
+bracket [2 + 1e-9, 4] holds every root, all in [p_50, p_2] ~ [2.0074, 2.80].
+`certify_singular` is the trust anchor for the 2x2 reduction: on the full
+distance matrix it checks facts (i) and (ii) entry by entry and row by row
+against the reduced matrix, then the residual r = ||A v|| / (sigma_max ||v||)
+of the block-constant null vector v, read from the row block sums. By
+Courant-Fischer sigma_min <= r sigma_max, and by Perron-Frobenius sigma_max
 is the Perron root of the 2x2 reduced matrix, so no SVD is taken.
 """
 
@@ -50,22 +52,23 @@ import numpy as np
 from .errors import CertificationError
 from .geometry import BLOCK_BYTES, PointSet, build_distance_matrix, finite_positive
 
-MAX_BERNSTEIN_DEGREE = 50  # binomials C(k, j) stay exact in doubles through here
-MAX_CUBE_SIDE = 12  # the one bound on a cube pair: 2^12 + 2^12 points, a 512 MiB matrix
+MAX_BERNSTEIN_DEGREE = 50  # every weight C(i, j)/2^i is an exact double (up to i = 56)
+MAX_CUBE_SIDE = 12  # the library's bound on a cube pair: 2^12 + 2^12 points, a 512 MiB matrix
 CERT_TOL = 1e-8  # largest relative null residual of a singularity certificate
 REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
+_P_BRACKET = (2.0 + 1e-9, 4.0)  # holds every p_n and p_{m,n}, n <= MAX_BERNSTEIN_DEGREE
 _SCALAR_POWER_SHORTCUTS = (0.5, 1.0, 2.0)  # exponents 1/p that np.power special-cases
 
 
 @functools.lru_cache(maxsize=None)
 def _bernstein_row(i: int) -> tuple:
-    """Binomials C(i, j) and nodes j/i for j = 1..i, built once per degree."""
+    """Exact weights C(i, j)/2^i and nodes j/i for j = 1..i, built once per degree."""
     if not 1 <= i <= MAX_BERNSTEIN_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_BERNSTEIN_DEGREE}], got {i}")
-    binomials = np.array([math.comb(i, j) for j in range(1, i + 1)], dtype=float)
+    weights = np.array([math.comb(i, j) / 2**i for j in range(1, i + 1)])
     nodes = np.arange(1, i + 1) / i
-    binomials.flags.writeable = nodes.flags.writeable = False
-    return binomials, nodes
+    weights.flags.writeable = nodes.flags.writeable = False
+    return weights, nodes
 
 
 def _power(base: float, exponent: float, p: float, theta: float | None = None) -> float:
@@ -99,10 +102,10 @@ def bernstein_half(i: int, p):
     the float calls bit for bit: each row of (j/i)^(1/p) is summed in the
     same order. The array is worked in chunks of rows of at most BLOCK_BYTES.
     """
-    binomials, nodes = _bernstein_row(i)
+    weights, nodes = _bernstein_row(i)
     if not isinstance(p, np.ndarray):
         q = finite_positive(p)
-        return float(np.sum(binomials * np.power(nodes, 1.0 / q))) * 2.0 ** (-i)
+        return float(np.sum(weights * np.power(nodes, 1.0 / q)))
     ps = _finite_positive_grid(p)
     sums = np.empty(len(ps))
     rows = max(1, BLOCK_BYTES // (8 * i))
@@ -115,8 +118,8 @@ def bernstein_half(i: int, p):
         # 0.5, 1 or 2, which a buffered broadcast may skip; such rows take it here
         for k in np.flatnonzero(np.isin(exponents, _SCALAR_POWER_SHORTCUTS)):
             powers[k] = np.power(nodes, exponents[k])
-        sums[chunk] = (binomials * powers).sum(axis=1)
-    return sums * 2.0 ** (-i)
+        sums[chunk] = (weights * powers).sum(axis=1)
+    return sums
 
 
 def psi(n: int, p):
@@ -229,9 +232,10 @@ def _bisect(f, lo: float, hi: float) -> RootResult:
     """Bisection for f(lo) < 0 < f(hi), narrowed to a few ulps.
 
     This is the one check of a root bracket: ends without that sign change
-    raise CertificationError. The loop halves the bracket down to
-    8 eps max(1, |lo|, |hi|); the extra iterations are cheap and make the
-    reported residual machine-level.
+    raise CertificationError. The bracket halves down to 8 eps max(1, |lo|,
+    |hi|), which makes the residual machine-level; above that it spans 8 ulps
+    of either end, so the midpoint lies strictly inside and the loop ends in
+    about 52 steps, if lo + hi does not overflow.
     """
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi):
@@ -240,10 +244,8 @@ def _bisect(f, lo: float, hi: float) -> RootResult:
         )
     iterations = 0
     floor = 8.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
-    while hi - lo > floor and iterations < 200:
+    while hi - lo > floor:
         mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
         fm = f(mid)
         iterations += 1
         if fm == 0.0:
@@ -267,25 +269,21 @@ def find_pn(n: int) -> RootResult:
             f"n must be >= 2: psi_1 tends to 1 - 2^(1-n) = 0 as p -> infinity, "
             f"so no root exists for n = {n}"
         )
-    return _bisect(lambda q: psi(n, q), 2.0 + 1e-9, 4.0)
+    return _bisect(lambda q: psi(n, q), *_P_BRACKET)
 
 
 def find_pmn(m: int, n: int) -> RootResult:
-    """The root p_{m,n} of phi_{m,n}, bracketed by (p_max(m,n), p_min(m,n)).
+    """The root p_{m,n} of phi_{m,n} at theta = 1, bisected on [2 + 1e-9, 4] too.
 
-    phi is symmetric in (m, n); for m = n this is exactly p_n. For a < b,
-    B_a < B_b (Bernstein values of the concave t^(1/p) increase with the
-    degree), so phi_{a,a} < phi_{a,b} < phi_{b,b} and phi_{a,b} changes
-    sign between p_b and p_a.
+    phi_{m,n} = 4 B_m B_n - 2^(2/p) rises in p and has the sign psi_m and
+    psi_n share, so it is negative at 2 + 1e-9 < p_50 ~ 2.0074 and positive
+    at 4 > p_2 ~ 2.80. For m = n this is exactly p_n.
     """
     if m < 2 or n < 2:
         raise ValueError(f"m and n must both be >= 2, got m={m}, n={n}")
     if m == n:
         return find_pn(n)
-    a, b = min(m, n), max(m, n)
-    upper = find_pn(a)  # fewer vertices -> larger root
-    lower = find_pn(b)
-    return _bisect(lambda q: phi(m, n, q), lower.value, upper.value)
+    return _bisect(lambda q: phi(m, n, q), *_P_BRACKET)
 
 
 def find_theta(n: int, p: float) -> RootResult:
@@ -294,8 +292,8 @@ def find_theta(n: int, p: float) -> RootResult:
     Bisects phi(n, n, p, theta) over theta. Requires p > p_n so that
     phi(n, n, p, 1) > 0; psi_n is strictly increasing, so that is
     psi_n(p) > 0, and p_n itself is only computed for the error message.
-    The lower end of the theta bracket halves until the value goes negative
-    (the theta -> 0 limit is -1); `_bisect` rejects a bracket that never does.
+    The bracket starts at theta = 1/2 if phi < 0 there, else at 1/4, where
+    phi = B_n^2 - (1 + 4^-p)^(2/p) <= B_n^2 - 1 < 0 since B_n < 1.
     """
     p = finite_positive(p)
     if n < 2:
@@ -305,11 +303,7 @@ def find_theta(n: int, p: float) -> RootResult:
             f"p ≤ p_n: a theta-scaled singular pair needs p > p_{n} = "
             f"{find_pn(n).value:.12g}, got p = {p}"
         )
-    theta_lo = 0.5
-    for _ in range(200):
-        if phi(n, n, p, theta_lo) < 0.0:
-            break
-        theta_lo *= 0.5
+    theta_lo = 0.5 if phi(n, n, p, 0.5) < 0.0 else 0.25
     return _bisect(lambda t: phi(n, n, p, t), theta_lo, 1.0)
 
 
@@ -354,13 +348,14 @@ def certify_singular(config: CubeConfig) -> CertificationRecord:
     block-constant v = (lambda, ..., mu, ...) with (lambda, mu) =
     (b, -a) / ||(b, -a)|| from the first row (a, b) of the reduced matrix,
     its kernel at a root; by Courant-Fischer that bounds sigma_min / sigma_max
-    by CERT_TOL too. A is symmetric, positive off the diagonal and equitably
-    partitioned by the cubes, so by Perron-Frobenius sigma_max is the Perron
-    root of the 2x2 reduced matrix and no SVD is taken. Raises
-    CertificationError on failure (a reduction bug or a root residual too
-    large), and ValueError from p = 1024, before forming A. Any pair
-    `cube_config` builds below that is certified; beside A, its checks hold
-    O(2^m + 2^n) values.
+    by CERT_TOL too. v is constant on each cube, so A v = lambda S_1 + mu S_2
+    from the checked row block sums S, and ||v||^2 = 2^m lambda^2 + 2^n mu^2.
+    A is symmetric, positive off the diagonal and equitably partitioned by the
+    cubes, so by Perron-Frobenius sigma_max is the Perron root of the 2x2
+    reduced matrix and no SVD is taken. Raises CertificationError on failure
+    (a reduction bug or a root residual too large), and ValueError from
+    p = 1024, before forming A. Any pair `cube_config` builds below that is
+    certified; beside A, its checks hold O(2^m + 2^n) values.
     """
     if config.p >= 1024.0:
         raise ValueError(
@@ -386,9 +381,9 @@ def certify_singular(config: CubeConfig) -> CertificationRecord:
         )
     (a, b), (c, d) = rs
     lam, mu = np.array([b, -a]) / np.linalg.norm([b, -a])
-    v = np.concatenate([np.full(first, lam), np.full(second, mu)])
     sigma_max = float(0.5 * (a + d) + math.sqrt((0.5 * (a - d)) ** 2 + b * c))
-    residual = float(np.linalg.norm(A @ v) / (sigma_max * np.linalg.norm(v)))
+    v_norm = math.sqrt(first * lam**2 + second * mu**2)
+    residual = float(np.linalg.norm(sums @ [lam, mu]) / (sigma_max * v_norm))
     passed = residual <= CERT_TOL
     record = CertificationRecord(
         m=config.m,

@@ -108,6 +108,31 @@ class TestFamily:
         fields = [field.name for field in dataclasses.fields(profiles.RadialProfile)]
         assert fields == ["kind", "tau", "outer", "inner", "input_convention"]
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # tau = 0 and tau = -1 were taken as strictly CND1, so an all-ones matrix
+            # was predicted strictly AND
+            ({"kind": "power", "tau": 0.0}, "power exponent must be positive, got 0.0"),
+            ({"kind": "power", "tau": -1.0}, "power exponent must be positive, got -1.0"),
+            ({"kind": "power", "tau": float("nan")}, "power exponent must be positive, got nan"),
+            ({"kind": "power", "tau": float("inf")}, "power exponent must be positive, got inf"),
+            ({"kind": "bogus"}, "unknown profile kind 'bogus' (kinds: identity, multiquadric, "
+                                "exponential, power, composition)"),
+            ({"kind": "power"}, "power profile takes tau: missing 'tau'"),
+            ({"kind": "identity", "tau": 2.0}, "identity profile takes no parameter: unexpected 'tau'"),
+            ({"kind": "exponential", "inner": identity()},
+             "exponential profile takes no parameter: unexpected 'inner'"),
+            ({"kind": "composition"},
+             "composition profile takes outer and inner: missing 'outer', missing 'inner'"),
+            ({"kind": "composition", "outer": identity()},
+             "composition profile takes outer and inner: missing 'inner'"),
+        ],
+    )
+    def test_a_profile_built_directly_has_the_form_of_its_kind(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            profiles.RadialProfile(**fields)
+
 
 # (profile, p, n, distinct, class) rows beyond the single cases below
 PREDICTIONS = [

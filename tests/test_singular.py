@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -41,6 +41,27 @@ def svd_ratio(cfg):
     """sigma_min / sigma_max of the config's full distance matrix: the reference."""
     svals = np.linalg.svd(build_distance_matrix(cfg.points, cfg.p).entries, compute_uv=False)
     return svals[-1] / svals[0]
+
+
+def guarded_bisect(f, lo, hi):
+    """`_bisect` with an iteration cap and a midpoint check: the reference it must equal."""
+    assert f(lo) < 0.0 < f(hi)
+    iterations = 0
+    floor = 8.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    while hi - lo > floor and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        fm = f(mid)
+        iterations += 1
+        if fm == 0.0:
+            return singular.RootResult(mid, 0.0, (lo, hi), iterations)
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    value = 0.5 * (lo + hi)
+    return singular.RootResult(value, abs(f(value)), (lo, hi), iterations)
 
 
 def brute_vertex_psum(k, p):
@@ -103,8 +124,35 @@ P_VALUES = st.one_of(
 )
 
 
+def binomial_bernstein_half(i, p):
+    """2^-i times the binomial sum, float p: the reference of the weights path."""
+    binomials = np.array([math.comb(i, j) for j in range(1, i + 1)], dtype=float)
+    return float(np.sum(binomials * np.power(np.arange(1, i + 1) / i, 1.0 / p))) * 2.0 ** (-i)
+
+
+def binomial_bernstein_grid(i, ps):
+    """2^-i times the binomial sums, one row per p: the reference of the array path."""
+    binomials = np.array([math.comb(i, j) for j in range(1, i + 1)], dtype=float)
+    nodes = np.arange(1, i + 1) / i
+    with np.errstate(over="ignore"):
+        exponents = 1.0 / ps
+    powers = np.power(nodes, exponents[:, None])
+    for k in np.flatnonzero(np.isin(exponents, (0.5, 1.0, 2.0))):
+        powers[k] = np.power(nodes, exponents[k])
+    return (binomials * powers).sum(axis=1) * 2.0 ** (-i)
+
+
 class TestGridEvaluation:
     """An array of p gives exactly the float calls, one per element."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(i=st.integers(1, 50), ps=st.lists(P_VALUES, min_size=1, max_size=40))
+    @example(i=50, ps=[2.0, 1.0, 0.5, 3.0] * 3)
+    def test_weights_equal_the_binomial_sum_bitwise(self, i, ps):
+        # each weight C(i, j)/2^i is exact, and scaling by 2^-i commutes with rounding
+        assert [bernstein_half(i, p) for p in ps] == [binomial_bernstein_half(i, p) for p in ps]
+        grid = np.array(ps)
+        assert np.array_equal(bernstein_half(i, grid), binomial_bernstein_grid(i, grid))
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 50), ps=st.lists(P_VALUES, min_size=1, max_size=40))
@@ -395,6 +443,19 @@ class TestFindPn:
             assert psi(n, 2.0 + 1e-9) < 0.0 < psi(n, 4.0), n
 
 
+class TestBisect:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3, unique=True).map(sorted))
+    def test_ends_within_60_steps_at_the_floor(self, ends):
+        # lo < c < hi, and f(x) = x - c is exact in sign
+        lo, c, hi = ends
+        root = singular._bisect(lambda x: x - c, lo, hi)
+        floor = 8.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+        assert root.iterations <= 60
+        assert root.bracket[1] - root.bracket[0] <= floor or root.residual == 0.0
+        assert root == guarded_bisect(lambda x: x - c, lo, hi)
+
+
 class TestFindPmn:
     def test_equal_sides_delegates(self):
         assert find_pmn(3, 3).value == find_pn(3).value
@@ -416,6 +477,20 @@ class TestFindPmn:
         with pytest.raises(ValueError):
             find_pmn(1, 3)
 
+    def test_one_bracket_holds_every_pair(self):
+        # phi_{m,n} changes sign on [2 + 1e-9, 4], and its root lies inside the
+        # interleaving bracket (p_max(m,n), p_min(m,n)), within 16 ulps of the
+        # root bisected on that bracket
+        pn = {n: find_pn(n).value for n in range(2, singular.MAX_BERNSTEIN_DEGREE + 1)}
+        for m, n in itertools.permutations(pn, 2):
+            assert phi(m, n, 2.0 + 1e-9) < 0.0 < phi(m, n, 4.0), (m, n)
+            lower, upper = pn[max(m, n)], pn[min(m, n)]
+            root = find_pmn(m, n).value
+            assert lower < root < upper, (m, n)
+            if m < n:
+                interleaved = guarded_bisect(lambda q: phi(m, n, q), lower, upper).value
+                assert abs(root - interleaved) <= 16 * np.spacing(interleaved), (m, n)
+
     @settings(max_examples=60, deadline=None)
     @given(
         sides=st.lists(st.integers(2, 12), min_size=2, max_size=2, unique=True).map(sorted),
@@ -423,7 +498,7 @@ class TestFindPmn:
     )
     def test_phi_interleaves_between_the_roots(self, sides, frac):
         # B_i of the concave t^(1/p) increases with i, so phi_{a,b} lies between
-        # phi_{a,a} and phi_{b,b}; this is what brackets p_{a,b} by (p_b, p_a)
+        # phi_{a,a} and phi_{b,b}, and p_{a,b} between p_b and p_a
         a, b = sides
         lo, hi = find_pn(b).value, find_pn(a).value
         q = lo + frac * (hi - lo)
@@ -450,6 +525,21 @@ class TestFindTheta:
     def test_rejects_p_below_pn(self):
         with pytest.raises(ValueError, match="p ≤ p_n"):
             find_theta(2, 2.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 50), u=st.floats(1e-9, 1.0))
+    def test_a_quarter_is_always_a_lower_end(self, n, u):
+        # p in (p_n, 1000]; the lower end halved from 1/2 until phi < 0 never
+        # passes 1/4, so one test of phi at 1/2 gives the same bracket
+        pn = find_pn(n).value
+        p = pn + u * (1000.0 - pn)
+        assert phi(n, n, p, 0.25) < 0.0
+        theta_lo = 0.5
+        for _ in range(200):
+            if phi(n, n, p, theta_lo) < 0.0:
+                break
+            theta_lo *= 0.5
+        assert find_theta(n, p) == guarded_bisect(lambda t: phi(n, n, p, t), theta_lo, 1.0)
 
     def test_p_above_pn_needs_no_pn_bisection(self, monkeypatch):
         expected = find_theta(3, 3.0)
@@ -567,6 +657,30 @@ class TestCertification:
         for rows, expected in ((slice(None, f), rs[0]), (slice(f, None), rs[1])):
             sums = np.stack([A[rows, :f].sum(axis=1), A[rows, f:].sum(axis=1)], axis=1)
             assert np.all(np.abs(sums - expected) <= 1e-12 * expected)
+
+    @pytest.mark.parametrize("side", range(2, 10))
+    def test_residual_equals_the_full_product(self, side):
+        # A v read from the block sums agrees with the matrix-vector product:
+        # to 1e-14 at a root, and relatively off the root, where it fails
+        def full_product(cfg, rec):
+            A = build_distance_matrix(cfg.points, cfg.p).entries
+            v = np.repeat([rec.lam, rec.mu], [2**cfg.m, 2**cfg.n])
+            return np.linalg.norm(A @ v) / (rec.sigma_max * np.linalg.norm(v))
+
+        configs = [
+            cube_config(side, side, 1.0, find_pn(side).value),
+            cube_config(side, side, find_theta(side, 3.0).value, 3.0),
+        ]
+        if side > 2:
+            configs.append(cube_config(2, side, 1.0, find_pmn(2, side).value))
+        for cfg in configs:
+            rec = certify_singular(cfg)
+            assert rec.residual == pytest.approx(full_product(cfg, rec), rel=0.0, abs=1e-14)
+        off_root = cube_config(2, side, 1.0, find_pmn(2, side).value + 0.01)
+        with pytest.raises(CertificationError) as failed:
+            certify_singular(off_root)
+        rec = failed.value.record
+        assert rec.residual == pytest.approx(full_product(off_root, rec), rel=1e-12)
 
     def test_all_small_roots_certify(self):
         for m, n in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5), (5, 5)]:
