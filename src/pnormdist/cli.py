@@ -91,10 +91,18 @@ def cmd_distmat(args) -> int:
 
 def cmd_check_and(args) -> int:
     if args.kind == "matrix":
+        flags = (("--p", args.p), ("--profile", args.profile))
+        given = [flag for flag, value in flags if value is not None]
+        if given:
+            raise InputError(
+                f"{' and '.join(given)}: points input only; --kind matrix reads the matrix as given"
+            )
         A = read_matrix_csv(args.input)
     else:
         pts = read_points_csv(args.input)
-        A = build_distance_matrix(pts, args.p, parse_profile(args.profile)).entries
+        p = 2.0 if args.p is None else args.p
+        profile = parse_profile("identity" if args.profile is None else args.profile)
+        A = build_distance_matrix(pts, p, profile).entries
     report = check_and(A)
     record = report.to_json_dict()
     print(serialize.dumps(record))
@@ -173,12 +181,11 @@ def cmd_interp(args) -> int:
             f"data dimension {centers.shape[1]}"
         )
     serialize.write_csv(args.out, interp.evaluate_many(queries)[:, None])
-    fit_residual = float(np.max(np.abs(interp.evaluate_many(centers) - values)))
     print(
         serialize.dumps(
             {
                 "n": int(centers.shape[0]),
-                "fit_residual": fit_residual,
+                "fit_residual": interp.residual,
                 "condition_estimate": interp.condition_estimate,
                 "guaranteed": interp.guaranteed,
             }
@@ -224,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-and", help="AND verdict as JSON")
     sp.add_argument("input")
     sp.add_argument("--kind", choices=["points", "matrix"], default="points")
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--profile", default="identity")
+    # None marks a flag not given: --kind matrix takes neither
+    sp.add_argument("--p", type=float, help="points input only (default 2)")
+    sp.add_argument("--profile", help="points input only (default identity)")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_check_and)
 

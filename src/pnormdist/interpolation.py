@@ -4,11 +4,17 @@ Fit solves A lambda = f with A_ij = profile(||x^i - x^j||_p) and evaluates
 s(x) = sum_i lambda_i profile(||x - x^i||_p). The centres must be distinct:
 two equal centres make two equal rows of A. The guarantee comes from one
 `profiles.predict` call: A is provably nonsingular when the catalog predicts
-it strictly AND and profile(0) >= 0 (a strictly AND matrix with non-negative
-trace has one positive and n-1 negative eigenvalues), or when it predicts
-A positive definite. A solve failure there is a numerical breakdown; other
-(p, profile) pairs carry no guarantee, and a singular system raises with
-the matrix's AND report and the prediction's source.
+it strictly AND (its trace n profile(0) is non-negative, since every catalog
+profile maps [0, inf) into [0, inf), and a strictly AND matrix with
+non-negative trace has one positive and n-1 negative eigenvalues), or when
+it predicts A positive definite. A solve failure there is a numerical
+breakdown; other (p, profile) pairs carry no guarantee, and a singular
+system raises with the matrix's AND report and the prediction's source.
+
+A fit is accepted when r = A lambda - f, formed by the row reduction that
+`Interpolant.evaluate_many` uses (r_i = s(x^i) - f_i bit for bit), has
+max |r_i| <= FIT_TOL max |f_i|, a bound that no finite f overflows and that
+f = 0 meets with lambda = 0 exactly; that maximum is the `residual` kept.
 
 The solver is one Bunch-Kaufman LDL^T factorization, LAPACK's dsytrf in
 the upper storage that dsysv uses (the matrix is not positive definite, so
@@ -37,7 +43,7 @@ from .geometry import (
     power_sum_blocks,
 )
 
-FIT_TOL = 1e-8  # largest relative residual ||A lambda - f|| / ||f|| of a fit
+FIT_TOL = 1e-8  # largest residual max|A lambda - f| of a fit, relative to max|f|
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,7 @@ class Interpolant:
     coefficients: np.ndarray
     p: float
     profile: prof.RadialProfile
+    residual: float  # max_i |s(x^i) - f_i| over the centres
     condition_estimate: float
     guaranteed: bool
 
@@ -79,12 +86,14 @@ def fit(
 ) -> Interpolant:
     """Solve the interpolation system and return an evaluable interpolant.
 
-    The relative residual ||A lambda - f|| / ||f|| must come out at most FIT_TOL.
-    Coincident centres raise ValueError naming the first pair (1-based
-    rows). `guaranteed` is the module's single rule, read from one
-    `profiles.predict`: a strictly AND matrix with profile(0) >= 0, or a
-    positive definite one. A failed solve raises CertificationError if
-    guaranteed, else SingularSystemError; both name the prediction's source.
+    The residual max|A lambda - f| must come out at most FIT_TOL max|f|; it
+    is kept as `residual`. Coincident centres raise ValueError naming the
+    first pair (1-based rows). `guaranteed` is the module's single rule,
+    read from one `profiles.predict`: a strictly AND or a positive definite
+    matrix. Every catalog leaf maps [0, inf) into [0, inf), so every
+    composition does too, and profile(0) >= 0 needs no check. A failed
+    solve raises CertificationError if guaranteed, else SingularSystemError;
+    both name the prediction's source.
     """
     pts = as_point_set(x)
     p = finite_positive(p)
@@ -102,9 +111,7 @@ def fit(
             "equal rows of the interpolation matrix, which no profile or p can fit"
         )
     predicted, source = prof.predict(profile, p, pts.n, True)
-    guaranteed = (
-        predicted == VERDICT_STRICTLY_AND and profile(0.0) >= 0.0
-    ) or predicted == prof.POSITIVE_DEFINITE
+    guaranteed = predicted in (VERDICT_STRICTLY_AND, prof.POSITIVE_DEFINITE)
 
     if pts.n == 1:
         phi0 = profile(0.0)
@@ -113,8 +120,10 @@ def fit(
                 raise SingularSystemError(
                     "1x1 system with profile(0) = 0 cannot match nonzero data"
                 )
-            return Interpolant(pts, np.zeros(1), p, profile, float("inf"), False)
-        return Interpolant(pts, f / phi0, p, profile, 1.0, guaranteed)
+            return Interpolant(pts, np.zeros(1), p, profile, 0.0, float("inf"), False)
+        coeffs = f / phi0
+        residual = float(abs(phi0 * coeffs[0] - f[0]))  # s(x^1) = profile(0) lambda_1
+        return Interpolant(pts, coeffs, p, profile, residual, 1.0, guaranteed)
 
     # imported here, not at module level: scipy.linalg costs most of a CLI start
     # and only a fit needs it; a repeat import is a sys.modules lookup
@@ -124,18 +133,17 @@ def fit(
     lwork = max(1, int(lapack.dsytrf_lwork(pts.n, lower=0)[0]))
     lu, ipiv, _ = lapack.dsytrf(A, lower=0, lwork=lwork)
     coeffs = lapack.dsytrs(lu, ipiv, f)[0]
-    fnorm = float(np.linalg.norm(f))
-    denom = fnorm if fnorm > 0.0 else 1.0
+    residual = float("inf")
     if np.isfinite(coeffs).all():
-        residual = float(np.linalg.norm(A @ coeffs - f)) / denom
-        if residual <= FIT_TOL:
+        # evaluate_many's row reduction; huge coefficients may overflow it to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = float(np.abs(np.vecdot(A, coeffs) - f).max())
+        if residual <= FIT_TOL * float(np.abs(f).max()):
             # dsycon's last bits follow the address of a work buffer scipy
             # allocates (OpenBLAS dasum); single precision keeps reruns identical
             rcond = float(np.float32(lapack.dsycon(lu, ipiv, np.linalg.norm(A, 1))[0]))
             cond = 1.0 / rcond if rcond > 0.0 else float("inf")
-            return Interpolant(pts, coeffs, p, profile, cond, guaranteed)
-    else:
-        residual = float("inf")
+            return Interpolant(pts, coeffs, p, profile, residual, cond, guaranteed)
     if guaranteed:
         raise CertificationError(
             f"numerical breakdown: the system is provably nonsingular for p={p} "

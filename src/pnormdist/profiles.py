@@ -31,6 +31,7 @@ so an outer convention other than `distance` is an error, never ignored.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -82,8 +83,15 @@ class RadialProfile:
     def __post_init__(self):
         given = [key for key in ("tau", "outer", "inner") if getattr(self, key) is not None]
         _check_form(self.kind, given)
-        if self.kind == "power" and not 0.0 < self.tau < np.inf:  # nan fails too
-            raise ValueError(f"power exponent must be positive, got {self.tau!r}")
+        if self.kind == "power":
+            if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+                raise ValueError(f"power profile tau must be a real number, got {quote(self.tau)}")
+            if not 0.0 < self.tau < np.inf:  # nan fails too
+                raise ValueError(f"power exponent must be positive, got {self.tau!r}")
+        for key in ("outer", "inner"):
+            value = getattr(self, key)
+            if self.kind == "composition" and not isinstance(value, RadialProfile):
+                raise ValueError(f"composition {key} must be a RadialProfile, got {quote(value)}")
         if self.input_convention not in _CONVENTIONS:
             raise ValueError(f"unknown input convention: {quote(self.input_convention)}")
         if self.kind == "composition" and self.outer.input_convention != DISTANCE:

@@ -15,7 +15,7 @@ from pnormdist.andmatrix import (
     restrict_to_zero_sum,
     schoenberg_embed,
 )
-from pnormdist.errors import NotAndError
+from pnormdist.errors import EmbeddingError, NotAndError
 from pnormdist.geometry import build_distance_matrix, pow_abs
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -312,6 +312,16 @@ class TestSchoenbergEmbed:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             schoenberg_embed(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_residual_beyond_its_bound_raises(self, monkeypatch):
+        # B' is positive definite, so the cut-off is reached only by the residual
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal((5, 4))
+        A = ((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        assert schoenberg_embed(A).residual > 0.0
+        monkeypatch.setattr(andmatrix, "EIG_TOL", 1e-300)
+        with pytest.raises(EmbeddingError, match="^embedding residual .* exceeds tolerance"):
+            schoenberg_embed(A)
 
     def test_round_trip_random_euclidean(self):
         rng = np.random.default_rng(14)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnormdist import profiles
+from pnormdist import interpolation, profiles
 from pnormdist.cli import build_parser, main
 from pnormdist.errors import quote
 from pnormdist.geometry import (
@@ -272,6 +272,14 @@ class TestArgumentErrors:
              "DATA: need d+1 columns (coordinates then value)"),
             (["distmat", "SQUARE", "--p", "1.5", "--profile", "power:0"],
              "power exponent must be positive, got 0.0"),
+            # a matrix is read as given, so the flags that build one from points
+            # would be ignored
+            (["check-and", "SQUARE", "--kind", "matrix", "--p", "3"],
+             "--p: points input only; --kind matrix reads the matrix as given"),
+            (["check-and", "SQUARE", "--kind", "matrix", "--profile", "identity"],
+             "--profile: points input only; --kind matrix reads the matrix as given"),
+            (["check-and", "SQUARE", "--kind", "matrix", "--p", "2", "--profile", "exponential"],
+             "--p and --profile: points input only; --kind matrix reads the matrix as given"),
         ],
     )
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, square_file, argv, message):
@@ -379,6 +387,12 @@ class TestCheckAnd:
         mat.write_text("0,1\n1,0\n")
         assert main(["check-and", str(mat), "--kind", "matrix"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "strictly-AND"
+
+    def test_points_default_to_the_euclidean_distance(self, capsys, square_file):
+        assert main(["check-and", str(square_file)]) == 0
+        default = capsys.readouterr().out
+        assert main(["check-and", str(square_file), "--p", "2", "--profile", "identity"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_json_round_trip_byte_identical(self, tmp_path, square_file):
         out = tmp_path / "report.json"
@@ -540,6 +554,29 @@ class TestInterp:
         report = json.loads(capsys.readouterr().out)
         assert report["fit_residual"] < 1e-8
         assert report["guaranteed"] is True
+
+    def test_evaluates_only_the_query_rows(self, tmp_path, capsys, monkeypatch):
+        # fit_residual is the fit's own residual, so the centres are not evaluated again
+        calls = []
+        evaluate_many = interpolation.Interpolant.evaluate_many
+
+        def spy(self, queries):
+            calls.append((self, np.shape(queries)))
+            return evaluate_many(self, queries)
+
+        monkeypatch.setattr(interpolation.Interpolant, "evaluate_many", spy)
+        rng = np.random.default_rng(45)
+        x, f = rng.random((8, 2)), rng.standard_normal(8)
+        data, queries = tmp_path / "data.csv", tmp_path / "q.csv"
+        self._write(data, np.column_stack([x, f]))
+        self._write(queries, rng.random((3, 2)))
+        argv = ["interp", str(data), "--p", "1.5", "--query-file", str(queries),
+                "--out", str(tmp_path / "vals.csv")]
+        assert main(argv) == 0
+        ((fitted, shape),) = calls
+        assert shape == (3, 2)
+        report = json.loads(capsys.readouterr().out)
+        assert report["fit_residual"] == np.abs(evaluate_many(fitted, x) - f).max()
 
     def test_more_than_500_centres(self, tmp_path, capsys):
         rng = np.random.default_rng(44)
@@ -813,6 +850,12 @@ class TestWholePRange:
 )
 def test_fmt_float_pins(x, text):
     assert fmt_float(x) == text
+
+
+@pytest.mark.parametrize("value", [None, object(), {"key": b"bytes"}, [1, {2.5}]])
+def test_dumps_rejects_what_json_cannot_hold(value):
+    with pytest.raises(TypeError, match="^not JSON-serializable: <class "):
+        dumps(value)
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import in_order_sum
 
-from pnormdist import interpolation
+from pnormdist import interpolation, profiles
 from pnormdist.errors import CertificationError, SingularSystemError
 from pnormdist.geometry import BLOCK_BYTES, PointSet, build_distance_matrix, pow_abs
 from pnormdist.interpolation import evaluate_interpolant, fit
@@ -33,14 +33,10 @@ LEAVES = [
     for make in (identity, multiquadric, exponential, *(partial(power, tau) for tau in (0.5, 1, 2)))
     for convention in (DISTANCE, SQUARED_DISTANCE, PTH_POWER_DISTANCE)
 ]
-# every catalog leaf and every depth-1 composition of two leaves; an outer
-# profile keeps the distance convention, since it consumes inner's values
-CATALOG = LEAVES + [
-    compose(outer, inner)
-    for outer in LEAVES
-    if outer.input_convention == DISTANCE
-    for inner in LEAVES
-]
+# an outer profile keeps the distance convention, since it consumes inner's values
+OUTER_LEAVES = [leaf for leaf in LEAVES if leaf.input_convention == DISTANCE]
+# every catalog leaf and every depth-1 composition of two leaves
+CATALOG = LEAVES + [compose(outer, inner) for outer in OUTER_LEAVES for inner in LEAVES]
 
 
 class TestFit:
@@ -137,6 +133,49 @@ class TestFit:
             with pytest.raises(ValueError, match=r"^centres in rows %d and %d coincide" % pair):
                 fit(rows, data, p, profile)
 
+    def test_data_beyond_the_range_of_a_squared_norm_fits(self):
+        # sum f_i^2 overflows a double here; max |f_i| does not
+        f = [1e200, -1e200, 1e200]
+        s = fit([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], f, 1.5)
+        assert s.guaranteed
+        assert math.isfinite(s.residual)
+        assert s.residual <= interpolation.FIT_TOL * 1e200
+
+    def test_zero_data_fits_with_zero_coefficients(self):
+        # the bound FIT_TOL max|f| is 0 here, and the solve meets it exactly
+        s = fit(UNIT_SQUARE, np.zeros(4), 1.5)
+        assert s.residual == 0.0
+        assert not s.coefficients.any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        profile=st.sampled_from(CATALOG),
+        p=st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0, 3.0]),
+        cells=st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=12, unique=True
+            )
+        ),
+        on_grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        profile=identity(), p=1.5, cells=[(0, 0), (1, 0), (0, 1), (2, 2)], on_grid=True, seed=0
+    )
+    @example(profile=multiquadric(), p=1.5, cells=[(0,)], on_grid=False, seed=0)
+    def test_residual_is_the_largest_error_at_the_centres(self, profile, p, cells, on_grid, seed):
+        # integer-grid centres make the matrix read its terms from per-coordinate
+        # tables, and the queries at them do not; the bits agree either way
+        rng = np.random.default_rng(seed)
+        x = np.array(cells, dtype=float) if on_grid else rng.random((len(cells), len(cells[0])))
+        f = rng.standard_normal(len(x))
+        try:
+            s = fit(x, f, p, profile)
+        except CertificationError:  # SingularSystemError is one
+            return
+        assert s.residual == np.abs(s.evaluate_many(x) - f).max()
+        assert s.residual <= interpolation.FIT_TOL * np.abs(f).max()
+
     def test_no_guarantee_flag_outside_regime(self):
         rng = np.random.default_rng(33)
         x = rng.random((6, 2))
@@ -191,6 +230,23 @@ class TestGuarantee:
             assert inertia == (1, n - 1)
 
 
+    def test_every_profile_maps_non_negative_arguments_to_non_negative_values(self):
+        # so profile(0) >= 0 and a strictly AND matrix has a non-negative trace,
+        # which `fit` relies on unchecked; a leaf kind added to the catalog
+        # must be added to LEAVES, where it is checked too
+        assert {leaf.kind for leaf in LEAVES} == set(profiles._PARAMETERS) - {"composition"}
+        nested = [
+            expr
+            for a in OUTER_LEAVES
+            for b in OUTER_LEAVES
+            for c in LEAVES
+            for expr in (compose(a, compose(b, c)), compose(compose(a, b), c))
+        ]
+        t = np.array([0.0, 5e-324, 1e-8, 0.5, 1.0, 2.0, 10.0, 1e3])
+        for profile in CATALOG + nested:
+            assert (profile(t) >= 0.0).all(), profile.describe()
+
+
 class TestEvaluate:
     def test_reproduces_data_at_centers(self):
         rng = np.random.default_rng(34)
@@ -207,6 +263,7 @@ class TestEvaluate:
             coefficients=np.zeros(4),
             p=1.5,
             profile=identity(),
+            residual=0.0,
             condition_estimate=1.0,
             guaranteed=False,
         )
@@ -228,6 +285,7 @@ class TestEvaluate:
             coefficients=coeffs,
             p=cfg.p,
             profile=identity(),
+            residual=0.0,
             condition_estimate=float("inf"),
             guaranteed=False,
         )
@@ -255,6 +313,7 @@ class TestEvaluate:
             coefficients=coeffs,
             p=p,
             profile=profile,
+            residual=0.0,
             condition_estimate=1.0,
             guaranteed=False,
         )
@@ -288,6 +347,7 @@ class TestEvaluate:
             coefficients=rng.standard_normal(400),
             p=1.5,
             profile=multiquadric(),
+            residual=0.0,
             condition_estimate=1.0,
             guaranteed=False,
         )

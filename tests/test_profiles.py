@@ -127,6 +127,14 @@ class TestFamily:
              "composition profile takes outer and inner: missing 'outer', missing 'inner'"),
             ({"kind": "composition", "outer": identity()},
              "composition profile takes outer and inner: missing 'inner'"),
+            # parameters of the wrong type; the JSON form rejects them before this check
+            ({"kind": "composition", "outer": 3, "inner": identity()},
+             "composition outer must be a RadialProfile, got 3"),
+            ({"kind": "composition", "outer": identity(), "inner": "x"},
+             "composition inner must be a RadialProfile, got 'x'"),
+            ({"kind": "power", "tau": "0.5"}, "power profile tau must be a real number, got '0.5'"),
+            ({"kind": "power", "tau": [1]}, "power profile tau must be a real number, got [1]"),
+            ({"kind": "power", "tau": True}, "power profile tau must be a real number, got True"),
         ],
     )
     def test_a_profile_built_directly_has_the_form_of_its_kind(self, fields, message):

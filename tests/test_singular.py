@@ -455,6 +455,10 @@ class TestBisect:
         assert root.bracket[1] - root.bracket[0] <= floor or root.residual == 0.0
         assert root == guarded_bisect(lambda x: x - c, lo, hi)
 
+    def test_ends_without_a_sign_change_raise(self):
+        with pytest.raises(CertificationError, match=re.escape("invalid bracket [1.0, 2.0]")):
+            singular._bisect(lambda x: x, 1.0, 2.0)
+
 
 class TestFindPmn:
     def test_equal_sides_delegates(self):
@@ -525,6 +529,11 @@ class TestFindTheta:
     def test_rejects_p_below_pn(self):
         with pytest.raises(ValueError, match="p ≤ p_n"):
             find_theta(2, 2.5)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_rejects_n_below_2(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+            find_theta(n, 3.0)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 50), u=st.floats(1e-9, 1.0))
@@ -700,6 +709,22 @@ class TestRateTable:
     def test_monotone_subsequence(self):
         rows = {n: pn for n, pn, _ in rate_table([10, 20, 40])}
         assert rows[10] > rows[20] > rows[40]
+
+    @pytest.mark.parametrize(
+        "roots, message",
+        [
+            ({2: 2.5, 3: 2.6}, "p_n not strictly decreasing between n=2 and n=3"),
+            ({2: 2.0}, "p_2 = 2.0 is not above 2"),
+            ({2: 4.5}, "rate n*(p_n - 2) = 5.0 at n=2 exceeds bound 4"),
+        ],
+    )
+    def test_each_check_raises(self, monkeypatch, roots, message):
+        # the true p_n pass every check, so stand-in roots break one each
+        monkeypatch.setattr(
+            singular, "find_pn", lambda n: singular.RootResult(roots[n], 0.0, (2.0, 4.0), 0)
+        )
+        with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+            rate_table(sorted(roots))
 
     def test_rates_bounded_and_peak_at_small_n(self):
         rows = rate_table(range(2, 41))
