@@ -15,6 +15,10 @@ An AND matrix with zero diagonal is exactly a matrix of squared Euclidean
 distances (Schoenberg): A_ij = |y^i - y^j|^2 for some vectors y^i. The
 embedding here follows that construction, fixing y^n = 0.
 
+`check_and` and `schoenberg_embed` reach a verdict by one rule, each from
+the spectrum of B' that it computed (`eigvalsh`, `eigh`); within about an
+ulp of the cut-off the two spectra, and so the two verdicts, can differ.
+
 A strictly AND matrix with non-negative trace has n-1 negative and 1
 positive eigenvalue, hence (-1)^(n-1) det A > 0; `check_and` reads that
 sign from the restricted spectrum and one solve with B' (Haynsworth's
@@ -146,6 +150,19 @@ def det_sign_logmag(A: np.ndarray, B: np.ndarray, mu: np.ndarray, cut: float):
     return sign, float(np.sum(np.log(np.abs(mu)))) + log_big + math.log(abs(factor))
 
 
+def _verdict(mu: np.ndarray, cut: float) -> str:
+    """The verdict on A from B''s spectrum mu: the one place a cut-off meets a spectrum."""
+    if mu.min() > cut:
+        return VERDICT_STRICTLY_AND
+    return VERDICT_AND if mu.min() >= -cut else VERDICT_NOT_AND
+
+
+def _report(A: np.ndarray, B: np.ndarray, mu: np.ndarray, cut: float) -> AndReport:
+    """The report on A from B' = restrict_to_zero_sum(A) and B''s ascending spectrum mu."""
+    sign, logmag = det_sign_logmag(A, B, mu, cut)
+    return AndReport(_verdict(mu, cut), -mu[::-1], float(np.trace(A)), sign, logmag)
+
+
 def check_and(A) -> AndReport:
     """Classify A as not-AND / AND / strictly-AND from its restricted spectrum.
 
@@ -157,23 +174,7 @@ def check_and(A) -> AndReport:
     """
     A = np.asarray(A, dtype=float)
     B = restrict_to_zero_sum(A)
-    mu = np.linalg.eigvalsh(B)
-    cut = EIG_TOL * float(np.abs(A).max())
-    if mu.min() > cut:
-        verdict = VERDICT_STRICTLY_AND
-    elif mu.min() >= -cut:
-        verdict = VERDICT_AND
-    else:
-        verdict = VERDICT_NOT_AND
-    sign, logmag = det_sign_logmag(A, B, mu, cut)
-    restricted = np.sort(-mu)
-    return AndReport(
-        verdict=verdict,
-        restricted_eigenvalues=restricted,
-        trace=float(np.trace(A)),
-        det_sign=sign,
-        det_log_magnitude=logmag,
-    )
+    return _report(A, B, np.linalg.eigvalsh(B), EIG_TOL * float(np.abs(A).max()))
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,13 @@ class Embedding:
     residual: float
 
     def squared_distances(self) -> np.ndarray:
-        G = self.vectors @ self.vectors.T
-        sq = np.diag(G)[:, None] + np.diag(G)[None, :] - 2.0 * G
-        return sq
+        return _squared_distances(self.vectors)
+
+
+def _squared_distances(Y: np.ndarray) -> np.ndarray:
+    """|y^i - y^j|^2 for the rows y^i of Y, read from their Gram matrix."""
+    G = Y @ Y.T
+    return np.diag(G)[:, None] + np.diag(G)[None, :] - 2.0 * G
 
 
 def schoenberg_embed(A) -> Embedding:
@@ -199,30 +204,28 @@ def schoenberg_embed(A) -> Embedding:
     eigendecomposition B' = V diag(w) V^T, as the rows sqrt(w_i) v_i^T in
     ascending order of w_i; the embedding vectors are the columns of
     P/sqrt(2) plus the zero vector, in dimension n-1. An eigenvalue of B'
-    below check_and's cut-off -EIG_TOL*|A|_max means A is not AND, and
-    raises NotAndError carrying check_and's report; eigenvalues in
-    [-EIG_TOL*|A|_max, 0] are clamped to 0, so rank-deficient (merely AND)
-    matrices embed. Distinctness transfers: A_ij != 0 for i != j implies
-    y^i != y^j. The residual must stay within 10*EIG_TOL*|A|_max, a cut-off
-    that scales with A.
+    below the cut-off -EIG_TOL*|A|_max of `check_and` means A is not AND, and
+    raises NotAndError carrying the report read from this same spectrum;
+    eigenvalues in [-EIG_TOL*|A|_max, 0] are clamped to 0, so rank-deficient
+    (merely AND) matrices embed. Distinctness transfers: A_ij != 0 for i != j
+    implies y^i != y^j. The residual must stay within 10*EIG_TOL*|A|_max, a
+    cut-off that scales with A.
     """
     A = np.asarray(A, dtype=float)
     B = restrict_to_zero_sum(A)
-    n = A.shape[0]
     if np.any(np.diag(A) != 0.0):
         raise ValueError("matrix must have an exactly zero diagonal")
     scale = float(np.abs(A).max())
+    cut = EIG_TOL * scale
     w, V = np.linalg.eigh(B)
-    if w.min() < -EIG_TOL * scale:
+    if _verdict(w, cut) == VERDICT_NOT_AND:
         raise NotAndError(
             "matrix is not almost negative definite; no squared-distance embedding exists",
-            record=check_and(A),
+            record=_report(A, B, w, cut),
         )
     P = np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T  # P^T P = B
-    vectors = np.zeros((n, n - 1))
-    vectors[: n - 1] = P.T / math.sqrt(2.0)
-    emb = Embedding(vectors=vectors, residual=0.0)
-    residual = float(np.abs(emb.squared_distances() - A).max())
+    vectors = np.vstack([P.T / math.sqrt(2.0), np.zeros(len(w))])  # y^n = 0
+    residual = float(np.abs(_squared_distances(vectors) - A).max())
     if residual > 10.0 * EIG_TOL * scale:
         raise EmbeddingError(
             f"embedding residual {residual:.3e} exceeds tolerance {10.0 * EIG_TOL * scale:.3e}"

@@ -247,24 +247,20 @@ def build_distance_matrix(
 
     `profile=None` means the raw p-norm distance (identity profile). A
     profile's `input_convention` decides whether it consumes the distance r,
-    the squared distance r^2, or the p-th power r^p; the diagonal is the
-    profile's value at 0 (exactly 0 for the raw distance). Memory is the
-    n x n result plus one block.
+    the squared distance r^2, or the p-th power r^p. The blocks compute the
+    diagonal, the profile's value at 0 (exactly 0 for the raw distance),
+    from its power sums of exactly 0. Memory is the n x n result plus one block.
     """
     pts = as_point_set(x)
     p = finite_positive(p)
-    n = pts.n
-    entries = np.zeros((n, n))
-    if n > 1:
-        for start, stop, sums in power_sum_blocks(pts.points, None, p):
-            if profile is None:
-                vals = distances_from_power_sums(sums, p)
-            else:
-                vals = profile.apply_to_power_sums(sums, p)
-            entries[start:stop, start:] = vals
-            entries[start:, start:stop] = vals.T
-    diag = 0.0 if profile is None else profile(0.0)
-    np.fill_diagonal(entries, diag)
+    entries = np.empty((pts.n, pts.n))  # the blocks write every entry
+    for start, stop, sums in power_sum_blocks(pts.points, None, p):
+        if profile is None:
+            vals = distances_from_power_sums(sums, p)
+        else:
+            vals = profile.apply_to_power_sums(sums, p)
+        entries[start:stop, start:] = vals
+        entries[start:, start:stop] = vals.T
     entries.setflags(write=False)
     return DistanceMatrix(entries)
 

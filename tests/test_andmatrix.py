@@ -309,6 +309,33 @@ class TestSchoenbergEmbed:
             schoenberg_embed(A)
         assert info.value.record.verdict == "not-AND"
 
+    def test_not_and_record_is_the_spectrum_it_decided_from(self):
+        # eigvalsh and eigh can put the smallest eigenvalue of B' an ulp or so
+        # apart, on opposite sides of -cut; A(s) = A0 - s (yy^T off the
+        # diagonal) is walked to the last s that check_and calls AND and ±40
+        # ulps around it. Where the two spectra straddle the cut-off (s =
+        # 0.019784254295109646 with numpy 2.4.6's OpenBLAS), the error used to
+        # carry check_and's "AND" record; it must carry what it decided from
+        rng = np.random.default_rng(1)
+        A0 = build_distance_matrix(rng.random((12, 2)), 1.5).entries
+        y = rng.standard_normal(12)
+        y -= y.mean()
+        E = -np.outer(y, y)
+        np.fill_diagonal(E, 0.0)
+        lo, hi = 0.0, 1.0
+        assert check_and(A0 + lo * E).verdict != "not-AND" == check_and(A0 + hi * E).verdict
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if check_and(A0 + mid * E).verdict == "not-AND" else (mid, hi)
+        for s in lo + np.arange(-40, 41) * np.spacing(lo):
+            A = A0 + s * E
+            w = np.linalg.eigh(restrict_to_zero_sum(A))[0]
+            try:
+                schoenberg_embed(A)
+            except NotAndError as exc:
+                assert exc.record.verdict == "not-AND"
+                assert np.array_equal(exc.record.restricted_eigenvalues, np.sort(-w))
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             schoenberg_embed(np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -24,7 +24,14 @@ from pnormdist.geometry import (
     write_points_csv,
 )
 from pnormdist.interpolation import fit
-from pnormdist.profiles import matrix_from_profile, multiquadric
+from pnormdist.profiles import (
+    compose,
+    exponential,
+    identity,
+    matrix_from_profile,
+    multiquadric,
+    power,
+)
 from pnormdist.serialize import write_csv
 from pnormdist.singular import (
     bernstein_half,
@@ -53,6 +60,20 @@ def gathered_distance_matrix(x, p, profile):
     A[ju, iu] = vals
     np.fill_diagonal(A, 0.0 if profile is None else profile(0.0))
     return A
+
+
+# the blocks write the diagonal: every catalog leaf, and compositions whose
+# value at 0 is not exact (e^-1 for exp o multiquadric)
+DIAGONAL_PROFILES = [
+    None,
+    identity(),
+    power(0.5),
+    multiquadric(),
+    exponential(),
+    compose(exponential(), multiquadric()),
+    compose(power(0.7), multiquadric()),
+    compose(exponential(), compose(multiquadric(), multiquadric())),
+]
 
 
 @pytest.fixture(params=["chosen", "direct"])
@@ -265,12 +286,13 @@ class TestBuildDistanceMatrix:
         n=st.integers(1, 300),
         d=st.integers(1, 20),
         p=st.floats(0.5, 4.0, exclude_min=True),
-        profile=st.sampled_from([None, multiquadric()]),
+        profile=st.sampled_from(DIAGONAL_PROFILES),
         grid=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n=300, d=6, p=1.5, profile=None, grid=False, seed=0)  # 9 blocks, last partial
     @example(n=257, d=5, p=3.0, profile=multiquadric(), grid=True, seed=1)
+    @example(n=1, d=3, p=1.5, profile=compose(exponential(), multiquadric()), grid=False, seed=2)
     def test_blocks_match_gathered_assembly(self, kernel_path, n, d, p, profile, grid, seed):
         # integer grids make coincident points and zero coordinate differences
         rng = np.random.default_rng(seed)

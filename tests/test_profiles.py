@@ -265,6 +265,16 @@ class TestMatrixFromProfile:
         with pytest.raises(VerdictMismatchError, match=r"^predicted strictly-AND \(a doctored fact\)"):
             matrix_from_profile(x, 1.5, exponential())
 
+    def test_positive_definite_mismatch_raises(self, monkeypatch):
+        # a doctored prediction of positive definiteness: |s - t|^3 is not of
+        # negative type, so e^-(|s-t|^3) on 0, 1/2, 1 has the zero-sum
+        # direction (1, -2, 1) with a negative form and a negative eigenvalue
+        monkeypatch.setattr(profiles, "predict", lambda *args: (POSITIVE_DEFINITE, "a doctored fact"))
+        named = r"^predicted positive definite \(a doctored fact\) but min eigenvalue is -"
+        with pytest.raises(VerdictMismatchError, match=named) as info:
+            matrix_from_profile([[0.0], [0.5], [1.0]], 3.0, exponential(PTH_POWER_DISTANCE))
+        assert info.value.record.min_eigenvalue < 0.0
+
     def test_rejects_one_point(self):
         with pytest.raises(ValueError, match=r"^need n >= 2 points for a meaningful verdict$"):
             matrix_from_profile([[0.0, 1.0]], 1.5, identity())
