@@ -6,9 +6,10 @@ equations to a 2x2 system; at the critical exponent its determinant vanishes
 and the full distance matrix inherits an explicit block-constant null vector.
 Rescaling the second cube by a solved factor theta* < 1 moves the singular
 exponent anywhere above 2, so every p > 2 admits a singular configuration.
-The certificate below is the end-to-end check: the reduction verified on every
-entry and row of the full matrix plus the null-vector residual, not just the
-2x2 algebra.
+The certificate below is the end-to-end check: the points verified to be
+exactly the two cubes, so that the distance matrix depends only on Hamming
+distance, the reduction verified on the m + n + 3 distances that leaves, and
+the null-vector residual, not just the 2x2 algebra.
 """
 
 import numpy as np

@@ -158,8 +158,8 @@ def cmd_singular_config(args) -> int:
         root = singular.find_pmn(args.m, args.n)
         config = singular.cube_config(args.m, args.n, theta=1.0, p=root.value)
     if max(config.m, config.n) > args.cert_cap:
-        capped = f"full-matrix certification capped at side {args.cert_cap}"
-        raise InputError(f"{capped} (got m={config.m}, n={config.n}); pass --cert-cap to override")
+        capped = f"certification capped at side {args.cert_cap} by --cert-cap"
+        raise InputError(f"{capped} (got m={config.m}, n={config.n})")
     record = singular.certify_singular(config)
     write_points_csv(args.out_points, config.points)
     serialize.write_json(args.out_cert, record.to_json_dict())
@@ -258,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--cert-cap",
         type=int,
-        default=5,  # full matrices up to 2^5 + 2^5 = 64 points
-        help="largest cube side certified on the full matrix (default %(default)d)",
+        default=singular.MAX_CUBE_SIDE,
+        help="largest cube side certified (default %(default)d, every side cube_config builds)",
     )
     sp.set_defaults(func=cmd_singular_config)
 

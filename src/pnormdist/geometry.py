@@ -14,13 +14,8 @@ matrices are assembled from its upper blocks and mirrored, so they are
 bitwise symmetric by construction. An upper block pairs its rows with the
 columns that remain, m = n - start, and takes as many rows as fit
 BLOCK_BYTES at that width, so the blocks grow taller down the matrix and
-memory is still the output plus one block. When every coordinate of the
-points takes so few distinct values that one table per coordinate holds
-fewer terms than the upper blocks, as on the cube pairs of
-`singular.cube_config` (3 each) and on integer grids, the upper blocks read
-their terms from those tables, a coordinate plane at a time, instead of
-calling log/exp for every pair; the bits are the same either way.
-`distances_from_power_sums` is the one place that takes their roots.
+memory is still the output plus one block. `distances_from_power_sums` is
+the one place that takes their roots.
 
 File formats read by this module (`serialize.write_csv` writes them): points
 are CSV with one point per row and d float columns (no header); matrices are
@@ -167,10 +162,9 @@ def power_sum_blocks(
     of `a` cover it in order, each with at most BLOCK_BYTES of differences
     unless it is one row. With b=None the blocks are the upper ones,
     a[start:stop] against a[start:], sized to those n - start columns, so
-    sums[i, j] pairs rows start+i and start+j of `a`; their terms come from
-    `_coordinate_power_table` when it gives one. Each block's terms are laid
-    out coordinate-major, (d, rows, m), and summed over k in index order;
-    the terms are >= 0, so each sum's relative error is at most about
+    sums[i, j] pairs rows start+i and start+j of `a`. Each block's terms are
+    laid out coordinate-major, (d, rows, m), and summed over k in index
+    order; the terms are >= 0, so each sum's relative error is at most about
     (d-1) * 2^-53. Raises ValueError when a sum overflows a
     double, or falls below the normal double range for two rows that
     differ: the first turns a distance into inf, the second into 0 or a
@@ -180,23 +174,18 @@ def power_sum_blocks(
     upper = b is None
     if upper:
         b = a
-    table = _coordinate_power_table(a, p) if upper else None
     bt = np.ascontiguousarray(b.T)
     stop = 0
     while stop < a.shape[0]:
         start = stop
         width = b.shape[0] - start if upper else b.shape[0]
         stop = min(start + max(1, BLOCK_BYTES // (8 * width * b.shape[1])), a.shape[0])
+        at = np.ascontiguousarray(a[start:stop].T)
+        other = bt[:, start:] if upper else bt
         with np.errstate(over="ignore"):
-            if table is None:
-                at = np.ascontiguousarray(a[start:stop].T)
-                other = bt[:, start:] if upper else bt
-                terms = iter(pow_abs(at[:, :, None] - other[:, None, :], p))
-            else:  # one coordinate plane at a time, so no block of terms is held
-                powers, rows, columns = table
-                terms = (powers[r[start:stop, None] + c[start:]] for r, c in zip(rows, columns))
-            sums = next(terms).copy()
-            for term in terms:
+            terms = pow_abs(at[:, :, None] - other[:, None, :], p)
+            sums = terms[0].copy()
+            for term in terms[1:]:
                 sums += term
         if not sums.max() < np.inf:
             raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
@@ -210,34 +199,6 @@ def power_sum_blocks(
                     f"range at p = {p:g}; rescale the points"
                 )
         yield start, stop, sums
-
-
-def _coordinate_power_table(x: np.ndarray, p: float):
-    """The terms |x_ik - x_jk|^p of `power_sum_blocks` as a lookup, or None.
-
-    Returns (powers, rows, columns), with (d, n) index arrays rows and
-    columns such that powers[rows[k, i] + columns[k, j]] = pow_abs(x_ik - x_jk, p):
-    one table per coordinate, over the pairs of values it takes. An entry
-    is pow_abs of the same two floats, so the bits are those of the direct
-    computation; -0.0 and 0.0 share an entry, and |x - y| is the same for
-    either. None when the tables would hold more than BLOCK_BYTES, as they
-    do once the points have more than about sqrt(BLOCK_BYTES / (8 d))
-    distinct values per coordinate, or at least the d n (n+1) / 2 terms of
-    the upper blocks they replace, as they do for a few points with distinct
-    coordinates.
-    """
-    n, d = x.shape
-    columns = [np.unique(column, return_inverse=True) for column in x.T]
-    entries = sum(len(values) ** 2 for values, _ in columns)
-    if 8 * entries > BLOCK_BYTES or 2 * entries >= d * n * (n + 1):
-        return None
-    powers, rows, offset = [], [], 0
-    with np.errstate(over="ignore"):
-        for values, codes in columns:
-            powers.append(pow_abs(values[:, None] - values[None, :], p).ravel())
-            rows.append(offset + codes * len(values))
-            offset += len(values) ** 2
-    return np.concatenate(powers), np.array(rows), np.array([codes for _, codes in columns])
 
 
 def build_distance_matrix(

@@ -265,8 +265,9 @@ def matrix_from_profile(x: PointsLike, p: float, profile: RadialProfile) -> Prof
     """Build the profile matrix and cross-check it against `predict`.
 
     A predicted AND class needs an observed check_and verdict at least as
-    strong; a predicted positive definite matrix needs min eigenvalue > 0.
-    Either contradiction raises VerdictMismatchError.
+    strong; a predicted positive definite matrix needs min eigenvalue > 0,
+    and only then is `min_eigenvalue` read. Either contradiction raises
+    VerdictMismatchError.
     """
     pts = geometry.as_point_set(x)
     p = geometry.finite_positive(p)
@@ -276,7 +277,7 @@ def matrix_from_profile(x: PointsLike, p: float, profile: RadialProfile) -> Prof
     report = check_and(dm.entries)
     predicted, source = predict(profile, p, pts.n, pts.first_coincident_pair() is None)
     min_eig = None
-    if profile.family == POSITIVE_DEFINITE:
+    if predicted == POSITIVE_DEFINITE:
         min_eig = float(np.linalg.eigvalsh(dm.entries).min())
     result = ProfileMatrixResult(dm, report, predicted, source, min_eig)
     if predicted == POSITIVE_DEFINITE:

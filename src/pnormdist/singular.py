@@ -33,12 +33,17 @@ p or theta that takes one beyond the double range raises ValueError.
 Root finding is plain bisection: monotonicity makes it certified-correct
 and no derivative is needed. B_i rises in p and 2^(1/p) falls, so one p
 bracket [2 + 1e-9, 4] holds every root, all in [p_50, p_2] ~ [2.0074, 2.80].
-`certify_singular` is the trust anchor for the 2x2 reduction: on the full
-distance matrix it checks facts (i) and (ii) entry by entry and row by row
-against the reduced matrix, then the residual r = ||A v|| / (sigma_max ||v||)
-of the block-constant null vector v, read from the row block sums. By
-Courant-Fischer sigma_min <= r sigma_max, and by Perron-Frobenius sigma_max
-is the Perron root of the 2x2 reduced matrix, so no SVD is taken.
+`certify_singular` is the trust anchor for the 2x2 reduction, and it forms
+no matrix of the pair's size. Once the points are checked to be exactly the
+two sign grids, the distance matrix A depends only on Hamming distance: its
+entries take m + n + 3 values, which the kernel gives on m + n + 2 of the
+points. They make the 2x2 quotient of A by the cubes, an equitable partition
+(Brouwer & Haemers, Spectra of Graphs, 2012, section 2.3), which is checked
+against the reduced matrix: facts (i) and (ii). The residual
+r = ||A v|| / (sigma_max ||v||) of the block-constant null vector v is read
+from that quotient. By Courant-Fischer sigma_min <= r sigma_max, and by
+Perron-Frobenius sigma_max is the Perron root of the 2x2 reduced matrix, so
+no SVD is taken.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .errors import CertificationError
 from .geometry import BLOCK_BYTES, PointSet, build_distance_matrix, finite_positive
 
 MAX_BERNSTEIN_DEGREE = 50  # every weight C(i, j)/2^i is an exact double (up to i = 56)
-MAX_CUBE_SIDE = 12  # the library's bound on a cube pair: 2^12 + 2^12 points, a 512 MiB matrix
+MAX_CUBE_SIDE = 12  # the library's bound on a cube pair: a points file of 2^12 + 2^12 rows
 CERT_TOL = 1e-8  # largest relative null residual of a singularity certificate
 REDUCTION_RTOL = 1e-12  # relative deviation allowed in the reduction identities
 _P_BRACKET = (2.0 + 1e-9, 4.0)  # holds every p_n and p_{m,n}, n <= MAX_BERNSTEIN_DEGREE
@@ -340,56 +345,72 @@ class CertificationRecord:
 def certify_singular(config: CubeConfig) -> CertificationRecord:
     """End-to-end singularity certificate for a cube configuration at a root.
 
-    Builds the full (2^m + 2^n)-point p-norm distance matrix A and first
-    checks the 2x2 reduction on it: every cross entry equals
-    (1 + theta^p)^(1/p), and every row's two block sums equal the matching
-    row of `reduced_system(...)`, both to relative REDUCTION_RTOL.
+    The points must be exactly those `cube_config(m, n, theta, p)` builds,
+    or CertificationError is raised. An entry of their distance matrix A
+    then sums, in coordinate order, terms that are 0 or a value fixed by the
+    pair of cubes and the coordinate, and adding an exact 0 changes nothing:
+    A is g_1(k) between vertices of the first cube k coordinates apart,
+    g_2(k) in the second, and one cross value between the cubes, bit for
+    bit. These come from the matrix of the vertices 2^k - 1 of each cube,
+    k coordinates from its first, and give every row's block sums, the
+    quotient S = [[sum_k C(m,k) g_1(k), 2^n cross], [2^m cross,
+    sum_k C(n,k) g_2(k)]] with each sum exactly rounded. S must equal
+    `reduced_system(...)` to relative REDUCTION_RTOL: facts (i) and (ii).
     Then it checks ||A v|| / (sigma_max ||v||) <= CERT_TOL for the
     block-constant v = (lambda, ..., mu, ...) with (lambda, mu) =
     (b, -a) / ||(b, -a)|| from the first row (a, b) of the reduced matrix,
     its kernel at a root; by Courant-Fischer that bounds sigma_min / sigma_max
-    by CERT_TOL too. v is constant on each cube, so A v = lambda S_1 + mu S_2
-    from the checked row block sums S, and ||v||^2 = 2^m lambda^2 + 2^n mu^2.
-    A is symmetric, positive off the diagonal and equitably partitioned by the
-    cubes, so by Perron-Frobenius sigma_max is the Perron root of the 2x2
-    reduced matrix and no SVD is taken. Raises CertificationError on failure
-    (a reduction bug or a root residual too large), and ValueError from
-    p = 1024, before forming A. Any pair `cube_config` builds below that is
-    certified; beside A, its checks hold O(2^m + 2^n) values.
+    by CERT_TOL too. A v is r_1 on the first cube and r_2 on the second, with
+    (r_1, r_2) = S (lambda, mu), so ||A v||^2 = 2^m r_1^2 + 2^n r_2^2 and
+    ||v||^2 = 2^m lambda^2 + 2^n mu^2. A is symmetric, positive off the
+    diagonal and equitably partitioned by the cubes, so by Perron-Frobenius
+    sigma_max is the Perron root of the 2x2 reduced matrix and no SVD is
+    taken. Raises CertificationError on failure (points that are not the
+    pair, a reduction bug or a root residual too large), and ValueError from
+    p = 1024, where the kernel overflows, before any matrix is formed. Any
+    pair `cube_config` builds below that is certified; the largest matrix
+    formed is (m + n + 2) x (m + n + 2), beside a second copy of the points.
     """
     if config.p >= 1024.0:
         raise ValueError(
             f"cube pairs are certified for p < 1024, got p = {config.p:g}: the power sum "
             f"2^p of two opposite cube vertices overflows a double from p = 1024"
         )
-    A = build_distance_matrix(config.points, config.p).entries
-    rs = reduced_system(config.m, config.n, config.theta, config.p)
-    first, second = 2**config.m, 2**config.n
-    cross = rs[0, 1] / second  # exact: the entry is 2^n (1 + theta^p)^(1/p)
-    block = A[:first, first:]
-    # = |block - cross|.max() bit for bit (fl(x - cross) is monotone in x),
-    # without a temporary the size of the block
-    cross_dev = max(float(block.max()) - cross, cross - float(block.min())) / cross
-    sums = np.stack([A[:, :first].sum(axis=1), A[:, first:].sum(axis=1)], axis=1)
-    expected = np.repeat(rs, [first, second], axis=0)
-    sums_dev = float((np.abs(sums - expected) / expected).max())
-    if not max(cross_dev, sums_dev) <= REDUCTION_RTOL:
+    m, n, theta, p = config.m, config.n, config.theta, config.p
+    points = config.points.points
+    if not np.array_equal(points, cube_config(m, n, theta, p).points.points):
         raise CertificationError(
-            f"cube pair does not reduce to the 2x2 system: relative deviation of "
-            f"cross distances {cross_dev:.3e}, of row block sums {sums_dev:.3e}, "
-            f"limit {REDUCTION_RTOL:g}"
+            f"points are not the cube pair of m = {m}, n = {n}, theta = {theta!r}, p = {p!r}"
+        )
+    first, second = 2**m, 2**n
+    rows = [2**k - 1 for k in range(m + 1)] + [first + 2**k - 1 for k in range(n + 1)]
+    g = build_distance_matrix(points[rows], p).entries
+    g1, g2, cross = g[0, : m + 1], g[m + 1, m + 1 :], g[0, m + 1]
+    quotient = np.array(
+        [
+            [math.fsum(math.comb(m, k) * g1[k] for k in range(m + 1)), second * cross],
+            [first * cross, math.fsum(math.comb(n, k) * g2[k] for k in range(n + 1))],
+        ]
+    )
+    rs = reduced_system(m, n, theta, p)
+    deviation = float((np.abs(quotient - rs) / rs).max())
+    if not deviation <= REDUCTION_RTOL:
+        raise CertificationError(
+            f"cube pair does not reduce to the 2x2 system: relative deviation of its "
+            f"block sums {deviation:.3e}, limit {REDUCTION_RTOL:g}"
         )
     (a, b), (c, d) = rs
     lam, mu = np.array([b, -a]) / np.linalg.norm([b, -a])
     sigma_max = float(0.5 * (a + d) + math.sqrt((0.5 * (a - d)) ** 2 + b * c))
+    r1, r2 = quotient @ [lam, mu]
     v_norm = math.sqrt(first * lam**2 + second * mu**2)
-    residual = float(np.linalg.norm(sums @ [lam, mu]) / (sigma_max * v_norm))
+    residual = math.sqrt(first * r1**2 + second * r2**2) / (sigma_max * v_norm)
     passed = residual <= CERT_TOL
     record = CertificationRecord(
-        m=config.m,
-        n=config.n,
-        theta=config.theta,
-        p=config.p,
+        m=m,
+        n=n,
+        theta=theta,
+        p=p,
         sigma_max=sigma_max,
         lam=float(lam),
         mu=float(mu),

@@ -497,8 +497,17 @@ class TestSingularConfig:
         assert rc == 2
         assert "p ≤ p_n" in capsys.readouterr().err
 
-    def test_side_12_stops_at_the_certification_cap(self, tmp_path, capsys):
+    def test_side_12_certifies_with_no_cap_flag(self, tmp_path, capsys):
+        outp, outc = tmp_path / "pts.csv", tmp_path / "c.json"
         argv = ["singular-config", "--n", "12", "--p", "3",
+                "--out-points", str(outp), "--out-cert", str(outc)]
+        assert main(argv) == 0
+        cert = json.loads(outc.read_text())
+        assert cert["pass"] is True and (cert["m"], cert["n"]) == (12, 12)
+        assert len(outp.read_text().splitlines()) == 2 * 2**12
+
+    def test_explicit_cap_below_the_side_stops(self, tmp_path, capsys):
+        argv = ["singular-config", "--n", "6", "--p", "3", "--cert-cap", "5",
                 "--out-points", str(tmp_path / "pts.csv"), "--out-cert", str(tmp_path / "c.json")]
         err = assert_input_error(capsys, argv)
         assert "capped at side 5" in err

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_acceptance import in_order_sum, pth_power_matrix
@@ -74,14 +74,6 @@ DIAGONAL_PROFILES = [
     compose(power(0.7), multiquadric()),
     compose(exponential(), compose(multiquadric(), multiquadric())),
 ]
-
-
-@pytest.fixture(params=["chosen", "direct"])
-def kernel_path(request, monkeypatch):
-    """Run a test on the path `power_sum_blocks` chooses, and again with the
-    per-coordinate tables refused, so that direct log/exp serves every block."""
-    if request.param == "direct":
-        monkeypatch.setattr(geometry, "_coordinate_power_table", lambda x, p: None)
 
 
 class TestPExponent:
@@ -278,10 +270,7 @@ class TestBuildDistanceMatrix:
         B = build_distance_matrix(shifted, 1.4).entries
         assert np.allclose(A, B, rtol=0, atol=1e-12)
 
-    # the fixture's patch is meant to hold across examples
-    @settings(
-        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-    )
+    @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 300),
         d=st.integers(1, 20),
@@ -293,7 +282,7 @@ class TestBuildDistanceMatrix:
     @example(n=300, d=6, p=1.5, profile=None, grid=False, seed=0)  # 9 blocks, last partial
     @example(n=257, d=5, p=3.0, profile=multiquadric(), grid=True, seed=1)
     @example(n=1, d=3, p=1.5, profile=compose(exponential(), multiquadric()), grid=False, seed=2)
-    def test_blocks_match_gathered_assembly(self, kernel_path, n, d, p, profile, grid, seed):
+    def test_blocks_match_gathered_assembly(self, n, d, p, profile, grid, seed):
         # integer grids make coincident points and zero coordinate differences
         rng = np.random.default_rng(seed)
         x = rng.integers(-2, 3, (n, d)).astype(float) if grid else rng.standard_normal((n, d))
@@ -306,9 +295,8 @@ class TestBuildDistanceMatrix:
             build_distance_matrix([[0.0, 0.0], [far, 0.0]], 1.5)
 
     def test_subnormal_power_sums_raise(self):
-        # squared differences near 1e-320 are subnormal and keep too few bits;
-        # 5 random points take the direct log/exp, 200 grid points the
-        # per-coordinate lookup
+        # squared differences near 1e-320 are subnormal and keep too few bits,
+        # on 5 random points and on 200 grid points, which also coincide
         rng = np.random.default_rng(5)
         for x in (rng.random((5, 2)), rng.integers(0, 3, (200, 2)).astype(float)):
             with pytest.raises(ValueError, match="below the normal double range"):
@@ -400,44 +388,7 @@ class TestPowerSumBlocks:
         x = cube_config(9, 9, theta=find_theta(9, p).value, p=p).points.points
         assert assert_upper_blocks_fill(x, p) <= 170
 
-    def test_lookup_only_for_few_valued_coordinates(self):
-        # the cube pair takes 3 values per coordinate; 1000 random points take
-        # 1000, whose tables would exceed BLOCK_BYTES; 20 random points take
-        # 20, whose tables would hold more terms than the upper blocks
-        p = 3.0
-        cube = cube_config(9, 9, theta=find_theta(9, p).value, p=p).points.points
-        assert geometry._coordinate_power_table(cube, p) is not None
-        rng = np.random.default_rng(8)
-        assert geometry._coordinate_power_table(rng.random((1000, 3)), p) is None
-        assert geometry._coordinate_power_table(rng.random((20, 3)), p) is None
-
     @settings(max_examples=40, deadline=None)
-    @given(
-        x=arrays(
-            np.float64,
-            st.tuples(st.integers(10, 80), st.integers(1, 8)),
-            elements=st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.0, 1e-3, -7e5]),
-        ),
-        p=st.floats(0.25, 8.0),
-    )
-    @example(x=np.tile([[0.0, -0.0], [-0.0, 1.5], [0.0, 0.0]], (4, 1)), p=1.5)
-    def test_lookup_bitwise_equal_to_in_order_sum(self, x, p):
-        # at most 7 distinct values per coordinate, signed zeros among them,
-        # and at least 10 rows, so the upper blocks read their terms from the
-        # per-coordinate tables
-        assert geometry._coordinate_power_table(x, p) is not None
-        expected = in_order_sum(pow_abs(x[:, None, :] - x[None, :, :], p))
-        n = x.shape[0]
-        upper = np.zeros((n, n))
-        for start, stop, sums in power_sum_blocks(x, None, p):
-            upper[start:stop, start:] = sums
-        iu, ju = np.triu_indices(n)
-        assert np.array_equal(upper[iu, ju].view(np.uint64), expected[iu, ju].view(np.uint64))
-
-    # the fixture's patch is meant to hold across examples
-    @settings(
-        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-    )
     @given(
         n=st.integers(1, 60),
         m=st.integers(1, 60),
@@ -458,7 +409,7 @@ class TestPowerSumBlocks:
     @example(n=25, m=50, d=129, p=1.75, grid=False, seed=5)  # 3 blocks, last partial
     @example(n=23, m=60, d=200, p=1.5, grid=False, seed=6)  # 5 blocks, last partial
     @example(n=1, m=1, d=37, p=1.5, grid=False, seed=7)  # numpy's axis-0 sum is pairwise here
-    def test_bitwise_equal_to_in_order_sum(self, kernel_path, n, m, d, p, grid, seed):
+    def test_bitwise_equal_to_in_order_sum(self, n, m, d, p, grid, seed):
         rng = np.random.default_rng(seed)
 
         def draw(k):

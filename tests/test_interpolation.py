@@ -164,8 +164,8 @@ class TestFit:
     )
     @example(profile=multiquadric(), p=1.5, cells=[(0,)], on_grid=False, seed=0)
     def test_residual_is_the_largest_error_at_the_centres(self, profile, p, cells, on_grid, seed):
-        # integer-grid centres make the matrix read its terms from per-coordinate
-        # tables, and the queries at them do not; the bits agree either way
+        # integer-grid centres give exact-zero coordinate differences; the
+        # matrix's upper blocks and the queries' blocks agree bit for bit on them
         rng = np.random.default_rng(seed)
         x = np.array(cells, dtype=float) if on_grid else rng.random((len(cells), len(cells[0])))
         f = rng.standard_normal(len(x))

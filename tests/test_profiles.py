@@ -275,6 +275,16 @@ class TestMatrixFromProfile:
             matrix_from_profile([[0.0], [0.5], [1.0]], 3.0, exponential(PTH_POWER_DISTANCE))
         assert info.value.record.min_eigenvalue < 0.0
 
+    def test_positive_definite_claim_for_any_family_is_checked(self, monkeypatch):
+        # the eigenvalue is read for the predicted class, not for the profile's
+        # family: a doctored positive-definite claim for the identity profile,
+        # whose distance matrix has n - 1 negative eigenvalues, is a mismatch
+        monkeypatch.setattr(profiles, "predict", lambda *args: (POSITIVE_DEFINITE, "a doctored fact"))
+        named = r"^predicted positive definite \(a doctored fact\) but min eigenvalue is -"
+        with pytest.raises(VerdictMismatchError, match=named) as info:
+            matrix_from_profile([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 1.5, identity())
+        assert info.value.record.min_eigenvalue < 0.0
+
     def test_rejects_one_point(self):
         with pytest.raises(ValueError, match=r"^need n >= 2 points for a meaningful verdict$"):
             matrix_from_profile([[0.0, 1.0]], 1.5, identity())

@@ -37,6 +37,20 @@ P23_HIPREC = 2.52535900523540198232086065491
 THETA_2_AT_3 = 0.764030898757770947510858566773
 
 
+# the singular benchmark workload's exponents, and a non-dyadic one
+P_PREMISE = (2.25, 3.0, 4.0, 6.0, math.e)
+
+
+def bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+def hamming(k):
+    """(2^k, 2^k) Hamming distances of the k-cube's vertices, by row index."""
+    idx = np.arange(2**k)
+    return np.bitwise_count(idx[:, None] ^ idx[None, :])
+
+
 def svd_ratio(cfg):
     """sigma_min / sigma_max of the config's full distance matrix: the reference."""
     svals = np.linalg.svd(build_distance_matrix(cfg.points, cfg.p).entries, compute_uv=False)
@@ -597,8 +611,9 @@ class TestCertification:
         with pytest.raises(CertificationError):
             certify_singular(cfg)
 
-    def test_peak_memory_is_the_matrix_plus_2_mib(self):
-        # side 9: A holds 1024 x 1024 doubles, 8 MiB; the checks beside it hold vectors
+    def test_peak_memory_is_under_1_mib(self):
+        # side 9: A would hold 1024 x 1024 doubles, 8 MiB; the certificate
+        # holds a second copy of the 1024 x 18 points and a 20 x 20 matrix
         cfg = cube_config(9, 9, find_theta(9, 3.0).value, 3.0)
         tracemalloc.start()
         try:
@@ -607,15 +622,58 @@ class TestCertification:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= (8 + 2) * 2**20
+        assert peak <= 2**20
 
     def test_nudged_vertex_fails_the_reduction_check(self):
         cfg = cube_config(2, 2, 1.0, find_pn(2).value)
         pts = cfg.points.points.copy()
         pts[0, 0] += 1e-6
         nudged = dataclasses.replace(cfg, points=PointSet(pts))
-        with pytest.raises(CertificationError, match="block sums"):
+        with pytest.raises(CertificationError, match="not the cube pair"):
             certify_singular(nudged)
+
+    def test_swapped_rows_fail_the_points_check(self):
+        # the same point set in another order is not the pair the record names
+        cfg = cube_config(2, 2, 1.0, find_pn(2).value)
+        swapped = dataclasses.replace(cfg, points=PointSet(cfg.points.points[[1, 0, *range(2, 8)]]))
+        with pytest.raises(CertificationError, match="not the cube pair"):
+            certify_singular(swapped)
+
+    def test_theta_that_disagrees_with_the_points_fails(self):
+        cfg = cube_config(2, 2, find_theta(2, 3.0).value, 3.0)
+        with pytest.raises(CertificationError, match="not the cube pair"):
+            certify_singular(dataclasses.replace(cfg, theta=1.0))
+
+    def test_reads_one_matrix_of_m_plus_n_plus_2_points(self, monkeypatch):
+        shapes = []
+
+        def spy(x, p, profile=None):
+            shapes.append(np.shape(x))
+            return build_distance_matrix(x, p, profile)
+
+        monkeypatch.setattr(singular, "build_distance_matrix", spy)
+        m, n = 3, 5
+        assert certify_singular(cube_config(m, n, 1.0, find_pmn(m, n).value)).passed
+        assert shapes == [(m + n + 2, m + n)]
+
+    @pytest.mark.parametrize("m, n", itertools.product(range(1, 10), repeat=2))
+    def test_formed_matrix_is_the_hamming_structure(self, m, n):
+        # the premise that lets certify_singular skip A: A is g_1[H] and
+        # g_2[H] on the cubes, H the Hamming distance of the row indices, and
+        # one cross value between them, bit for bit; and the m + n + 2 points
+        # it reads g_1, g_2 and the cross value from give A's bits
+        first = 2**m
+        rows = [2**k - 1 for k in range(m + 1)] + [first + 2**k - 1 for k in range(n + 1)]
+        for p in P_PREMISE:
+            for theta in (1.0, find_theta(9, p).value):
+                cfg = cube_config(m, n, theta, p)
+                A = build_distance_matrix(cfg.points, p).entries
+                small = build_distance_matrix(cfg.points.points[rows], p).entries
+                assert np.array_equal(bits(small), bits(A[np.ix_(rows, rows)]))
+                g1, g2, cross = small[0, : m + 1], small[m + 1, m + 1 :], small[0, m + 1]
+                assert np.array_equal(bits(A[:first, :first]), bits(g1[hamming(m)]))
+                assert np.array_equal(bits(A[first:, first:]), bits(g2[hamming(n)]))
+                assert np.array_equal(bits(A[:first, first:]), bits(np.full((first, 2**n), cross)))
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 6), u=st.floats(1e-12, 1.0))
