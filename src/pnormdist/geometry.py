@@ -6,16 +6,18 @@ supported.
 
 `power_sum_blocks` is the one place that forms the pairwise p-th-power sums
 sum_k |a_ik - b_jk|^p. It works through the rows of `a` in blocks of about
-BLOCK_BYTES of coordinate differences, so a caller holds its output plus one
-block. A block is laid out coordinate-major, (d, rows, m), so every ufunc
-runs over contiguous rows of length m rather than of length d, and the
-coordinate planes are added in index order, k = 0, 1, ..., d-1. Distance
-matrices are assembled from its upper blocks and mirrored, so they are
-bitwise symmetric by construction. An upper block pairs its rows with the
-columns that remain, m = n - start, and takes as many rows as fit
-BLOCK_BYTES at that width, so the blocks grow taller down the matrix and
-memory is still the output plus one block. `distances_from_power_sums` is
-the one place that takes their roots.
+BLOCK_BYTES of coordinate differences, each formed and raised to the p-th
+power in place in one workspace that every block of a call reuses, so a
+caller holds its output plus one block. A block is laid out
+coordinate-major, (d, rows, m), so every ufunc runs over contiguous rows of
+length m rather than of length d, and the coordinate planes are added in
+index order, k = 0, 1, ..., d-1. Distance matrices are assembled from its
+upper blocks and mirrored, so they are bitwise symmetric by construction.
+An upper block pairs its rows with the columns that remain, m = n - start,
+and takes as many rows as fit BLOCK_BYTES at that width, so the blocks grow
+taller down the matrix and memory is still the output plus one block.
+`distances_from_power_sums` is the one place that takes their roots;
+`build_distance_matrix` writes them over the block's own sums.
 
 File formats read by this module (`serialize.write_csv` writes them): points
 are CSV with one point per row and d float columns (no header); matrices are
@@ -120,34 +122,51 @@ class DistanceMatrix:
 
 
 def pow_abs(values, p: float) -> np.ndarray:
-    """|values|^p elementwise, computed as exp(p*ln|v|) with 0 mapped to 0.
+    """|values|^p elementwise, in a new array; `values` is not changed.
 
-    The exp/log form is for speed at block size: numpy's array `power` is
-    slower for every exponent but 2, which it special-cases. On the interp
-    kernel (40 000 x 400 x 3 differences, a 2-core AVX-512 Xeon, numpy 2.4)
-    exp/log took 16-22% less time at p = 1.25, 1.5 and 1.75, and 60% more at
-    p = 2. It runs in place on one copy of |values|; ln 0 = -inf, so zero
-    entries come out exactly 0, and a result beyond the double range comes
-    out inf without a warning (`power_sum_blocks` rejects it).
+    At p = 2 it is v * v, the correctly rounded square. Every other p takes
+    exp(p*ln|v|), which is faster at block size than numpy's array `power`:
+    on the interp kernel (40 000 x 400 x 3 differences, a 2-core AVX-512
+    Xeon, numpy 2.4) it took 16-22% less time at p = 1.25, 1.5 and 1.75.
+    ln 0 = -inf, so a zero of either sign comes out +0.0 on both paths, and a
+    result beyond the double range comes out inf without a warning
+    (`power_sum_blocks` rejects it).
     """
     a = np.asarray(values, dtype=float)
-    out = np.abs(a, out=np.empty_like(a))
+    return _pow_abs(a, p, np.empty_like(a))
+
+
+def _pow_abs(values: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """`pow_abs` written into `out`, which may be `values` itself."""
     with np.errstate(divide="ignore", over="ignore"):
+        if p == 2.0:
+            return np.multiply(values, values, out=out)
+        np.abs(values, out=out)
         np.log(out, out=out)
         out *= p
-        np.exp(out, out=out)
-    return out
+        return np.exp(out, out=out)
 
 
 def distances_from_power_sums(sums: np.ndarray, p: float, squared: bool = False) -> np.ndarray:
     """s^(1/p), the p-norm distances of power sums s, or s^(2/p) with squared=True.
 
-    Raises ValueError naming p beyond the double range, which only an
-    exponent e > 1 can reach: s^e <= max(s, 1) for e <= 1.
+    The result is a new array; `sums` is not changed. Raises ValueError
+    naming p beyond the double range, which only an exponent e > 1 can
+    reach: s^e <= max(s, 1) for e <= 1.
     """
+    return _roots(sums, p, squared, None)
+
+
+def _roots(sums: np.ndarray, p: float, squared: bool, out: Optional[np.ndarray]) -> np.ndarray:
+    """`distances_from_power_sums` written into `out` (new when None), which
+    may be `sums` itself. The exponent 1/2 takes `np.sqrt`, which gives the
+    bits of `np.power(s, 0.5)` on every power sum s in about half the time
+    (the two differ only at -0.0, which no power sum is)."""
     exponent = (2.0 if squared else 1.0) / p
+    if exponent == 0.5:
+        return np.sqrt(sums, out=out)
     with np.errstate(over="ignore"):
-        out = np.power(sums, exponent)
+        out = np.power(sums, exponent, out=out)
     if exponent > 1.0 and np.isinf(out).any():
         raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
     return out
@@ -175,17 +194,25 @@ def power_sum_blocks(
     if upper:
         b = a
     bt = np.ascontiguousarray(b.T)
+    d = b.shape[1]
+    bounds = []
     stop = 0
     while stop < a.shape[0]:
         start = stop
         width = b.shape[0] - start if upper else b.shape[0]
-        stop = min(start + max(1, BLOCK_BYTES // (8 * width * b.shape[1])), a.shape[0])
-        at = np.ascontiguousarray(a[start:stop].T)
+        stop = min(start + max(1, BLOCK_BYTES // (8 * width * d)), a.shape[0])
+        bounds.append((start, stop, width))
+    # one workspace for every block's terms, as large as the largest block
+    work = np.empty(max(((stop - start) * width for start, stop, width in bounds), default=0) * d)
+    for start, stop, width in bounds:
+        terms = work[: (stop - start) * width * d].reshape(d, stop - start, width)
         other = bt[:, start:] if upper else bt
+        np.subtract(a[start:stop].T[:, :, None], other[:, None, :], out=terms)
+        _pow_abs(terms, p, terms)
         with np.errstate(over="ignore"):
-            terms = pow_abs(at[:, :, None] - other[:, None, :], p)
-            sums = terms[0].copy()
-            for term in terms[1:]:
+            # a new array for every block: the next block overwrites the workspace
+            sums = np.add(terms[0], terms[1]) if d > 1 else terms[0].copy()
+            for term in terms[2:]:
                 sums += term
         if not sums.max() < np.inf:
             raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
@@ -217,7 +244,7 @@ def build_distance_matrix(
     entries = np.empty((pts.n, pts.n))  # the blocks write every entry
     for start, stop, sums in power_sum_blocks(pts.points, None, p):
         if profile is None:
-            vals = distances_from_power_sums(sums, p)
+            vals = _roots(sums, p, False, sums)
         else:
             vals = profile.apply_to_power_sums(sums, p)
         entries[start:stop, start:] = vals

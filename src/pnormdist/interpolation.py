@@ -75,6 +75,7 @@ class Interpolant:
             # vectors (a matrix-vector product sums in another order), so a
             # value does not depend on the block its query falls in
             out[start:stop] = np.vecdot(vals, self.coefficients)
+            del sums, vals  # freed before the kernel forms the next block
         return out
 
 

@@ -1,7 +1,9 @@
+import math
 import re
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from pnormdist.geometry import (
     BLOCK_BYTES,
     PointSet,
     build_distance_matrix,
+    distances_from_power_sums,
     pow_abs,
     power_sum_blocks,
     read_matrix_csv,
@@ -314,11 +317,36 @@ class TestBuildDistanceMatrix:
             tracemalloc.stop()
         assert peak < dm.entries.nbytes + 16 * 2**20
 
+    def test_small_build_allocates_a_small_workspace(self):
+        # the workspace is sized to the largest block used, not to BLOCK_BYTES
+        x = np.random.default_rng(7).standard_normal((20, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_distance_matrix(x, 1.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 def exp_log_pow_abs(v, p):
-    """|v|^p by the exp/log formula with no special case for zero."""
+    """|v|^p by the exp/log formula with no special case for zero, and v * v at p = 2."""
     with np.errstate(divide="ignore", over="ignore"):
+        if p == 2.0:
+            return v * v
         return np.exp(p * np.log(np.abs(v)))
+
+
+def correctly_rounded_square(v):
+    """The double nearest v^2, subnormals and inf included, rounded from mpmath's exact square."""
+    with mpmath.workprec(120):  # 106 bits hold the square of a double exactly
+        x = mpmath.mpf(v) ** 2
+        if x < mpmath.mpf(2) ** -1022:  # a multiple of the smallest subnormal, 2^-1074
+            return float(mpmath.nint(x * mpmath.mpf(2) ** 1074)) * 2.0**-1074
+        with mpmath.workprec(53):
+            x = +x  # rounded to nearest at 53 bits
+        return float(x) if x < mpmath.mpf(2) ** 1024 else math.inf
 
 
 # exact zeros of either sign, subnormals, magnitudes near the double-range
@@ -357,6 +385,41 @@ class TestPowAbs:
         got = pow_abs(v, p)
         assert got.shape == v.shape
         assert np.array_equal(got.view(np.uint64), exp_log_pow_abs(v, p).view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v=arrays(
+            np.float64,
+            st.integers(1, 20),
+            # beside POW_ABS_ENTRY, magnitudes whose squares are subnormal
+            elements=st.one_of(POW_ABS_ENTRY, st.floats(-1.5e-154, 1.5e-154)),
+        )
+    )
+    # subnormal squares, 0 from a subnormal, the largest finite square (2^512 less an ulp)
+    @example(v=np.array([0.0, -0.0, 5e-324, -1.5e-160, 1e-155, 1.3407807929942596e154]))
+    @example(v=np.array([-1.3407807929942597e154, 1e200, -1.7976931348623157e308]))  # inf
+    def test_square_at_p_2_is_correctly_rounded(self, v):
+        # a zero of either sign gives +0.0, and a square beyond the double
+        # range gives inf with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pow_abs(v, 2.0)
+        expected = [correctly_rounded_square(float(x)) for x in v]
+        assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
+
+
+class TestRoots:
+    EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 2.0, 1.7976931348623157e308, np.inf]
+
+    @pytest.mark.parametrize("p, squared", [(2.0, False), (4.0, True)])
+    def test_square_root_is_bitwise_power_one_half(self, p, squared):
+        # the exponent 1/2 takes np.sqrt, which must give power's bits
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, np.float64(np.inf).view(np.int64), 200_000)
+        s = np.concatenate([self.EDGES, bits.view(np.float64), rng.random(1000) * 1e3])
+        got = distances_from_power_sums(s, p, squared)
+        assert np.array_equal(got.view(np.uint64), np.power(s, 0.5).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), np.sqrt(s).view(np.uint64))
 
 
 def assert_upper_blocks_fill(x, p):
@@ -409,6 +472,8 @@ class TestPowerSumBlocks:
     @example(n=25, m=50, d=129, p=1.75, grid=False, seed=5)  # 3 blocks, last partial
     @example(n=23, m=60, d=200, p=1.5, grid=False, seed=6)  # 5 blocks, last partial
     @example(n=1, m=1, d=37, p=1.5, grid=False, seed=7)  # numpy's axis-0 sum is pairwise here
+    @example(n=8, m=9, d=3, p=2.0, grid=True, seed=8)  # squares, zero differences among them
+    @example(n=300, m=300, d=1, p=1.5, grid=False, seed=9)  # 2 blocks kept, one plane each
     def test_bitwise_equal_to_in_order_sum(self, n, m, d, p, grid, seed):
         rng = np.random.default_rng(seed)
 

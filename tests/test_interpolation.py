@@ -362,6 +362,29 @@ class TestEvaluate:
         # the full 40 000 x 400 sums matrix would be 122 MiB
         assert peak < out.nbytes + 4 * BLOCK_BYTES
 
+    def test_peak_memory_is_output_plus_two_blocks(self):
+        # one workspace of differences, the block's sums and their roots, and
+        # the previous block's arrays freed before the next block is formed
+        rng = np.random.default_rng(38)
+        s = interpolation.Interpolant(
+            centers=PointSet(rng.random((300, 3))),
+            coefficients=rng.standard_normal(300),
+            p=1.5,
+            profile=identity(),
+            residual=0.0,
+            condition_estimate=1.0,
+            guaranteed=False,
+        )
+        queries = rng.random((20_000, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = s.evaluate_many(queries)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * BLOCK_BYTES
+
     def test_translation_equivariance(self):
         rng = np.random.default_rng(35)
         x = rng.random((10, 3))

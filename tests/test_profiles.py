@@ -7,7 +7,7 @@ import pytest
 
 from pnormdist import profiles
 from pnormdist.errors import VerdictMismatchError
-from pnormdist.geometry import build_distance_matrix, pow_abs
+from pnormdist.geometry import build_distance_matrix, distances_from_power_sums, pow_abs
 from pnormdist.profiles import (
     CND1,
     DISTANCE,
@@ -70,6 +70,21 @@ class TestEvaluate:
                     power(3.0)(t)
             assert compose(exponential(), power(3.0))(1e200) == 0.0
             assert power(3.0)(2.0) == 8.0
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_power_sums_are_not_overwritten(self, p):
+        # the kernel takes roots in place over its own blocks, never over a caller's
+        s = np.random.default_rng(9).random((4, 5)) * 10.0
+        s[0, 0] = 0.0
+        before = s.copy()
+        for squared in (False, True):
+            distances_from_power_sums(s, p, squared)
+            assert np.array_equal(s.view(np.uint64), before.view(np.uint64))
+        leaves = (identity, multiquadric, exponential, lambda c: power(0.5, c))
+        for make in leaves:
+            for convention in (DISTANCE, SQUARED_DISTANCE, PTH_POWER_DISTANCE):
+                make(convention).apply_to_power_sums(s, p)
+                assert np.array_equal(s.view(np.uint64), before.view(np.uint64))
 
     def test_associativity_of_composition_evaluation(self):
         h, g, f = power(0.3), multiquadric(), power(0.7)
