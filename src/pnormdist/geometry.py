@@ -16,8 +16,8 @@ upper blocks and mirrored, so they are bitwise symmetric by construction.
 An upper block pairs its rows with the columns that remain, m = n - start,
 and takes as many rows as fit BLOCK_BYTES at that width, so the blocks grow
 taller down the matrix and memory is still the output plus one block.
-`distances_from_power_sums` is the one place that takes their roots;
-`build_distance_matrix` writes them over the block's own sums.
+`distances_from_power_sums` is the one function that takes their roots,
+for `build_distance_matrix` and for every profile alike.
 
 File formats read by this module (`serialize.write_csv` writes them): points
 are CSV with one point per row and d float columns (no header); matrices are
@@ -150,26 +150,19 @@ def _pow_abs(values: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
 def distances_from_power_sums(sums: np.ndarray, p: float, squared: bool = False) -> np.ndarray:
     """s^(1/p), the p-norm distances of power sums s, or s^(2/p) with squared=True.
 
-    The result is a new array; `sums` is not changed. Raises ValueError
-    naming p beyond the double range, which only an exponent e > 1 can
-    reach: s^e <= max(s, 1) for e <= 1.
+    The result is a new array; `sums` is not changed. Exponent 1/2 takes
+    `np.sqrt`, the bits of `np.power(s, 0.5)` in half the time for any s but
+    -0.0, which no power sum is. Raises ValueError naming p beyond the double
+    range, which only an exponent e > 1 can reach: s^e <= max(s, 1) for e <= 1.
     """
-    return _roots(sums, p, squared, None)
-
-
-def _roots(sums: np.ndarray, p: float, squared: bool, out: Optional[np.ndarray]) -> np.ndarray:
-    """`distances_from_power_sums` written into `out` (new when None), which
-    may be `sums` itself. The exponent 1/2 takes `np.sqrt`, which gives the
-    bits of `np.power(s, 0.5)` on every power sum s in about half the time
-    (the two differ only at -0.0, which no power sum is)."""
     exponent = (2.0 if squared else 1.0) / p
     if exponent == 0.5:
-        return np.sqrt(sums, out=out)
+        return np.sqrt(sums)
     with np.errstate(over="ignore"):
-        out = np.power(sums, exponent, out=out)
-    if exponent > 1.0 and np.isinf(out).any():
+        roots = np.power(sums, exponent)
+    if exponent > 1.0 and np.isinf(roots).any():
         raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
-    return out
+    return roots
 
 
 def power_sum_blocks(
@@ -242,11 +235,9 @@ def build_distance_matrix(
     pts = as_point_set(x)
     p = finite_positive(p)
     entries = np.empty((pts.n, pts.n))  # the blocks write every entry
+    values = distances_from_power_sums if profile is None else profile.apply_to_power_sums
     for start, stop, sums in power_sum_blocks(pts.points, None, p):
-        if profile is None:
-            vals = _roots(sums, p, False, sums)
-        else:
-            vals = profile.apply_to_power_sums(sums, p)
+        vals = values(sums, p)
         entries[start:stop, start:] = vals
         entries[start:, start:stop] = vals.T
     entries.setflags(write=False)

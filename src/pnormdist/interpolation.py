@@ -94,7 +94,8 @@ def fit(
     matrix. Every catalog leaf maps [0, inf) into [0, inf), so every
     composition does too, and profile(0) >= 0 needs no check. A failed
     solve raises CertificationError if guaranteed, else SingularSystemError;
-    both name the prediction's source.
+    both name the condition estimate (inf when ||A||_1 overflows a double)
+    and the prediction's source.
     """
     pts = as_point_set(x)
     p = finite_positive(p)
@@ -134,27 +135,28 @@ def fit(
     lwork = max(1, int(lapack.dsytrf_lwork(pts.n, lower=0)[0]))
     lu, ipiv, _ = lapack.dsytrf(A, lower=0, lwork=lwork)
     coeffs = lapack.dsytrs(lu, ipiv, f)[0]
+    # an ||A||_1 that overflows gives rcond 0. Single precision keeps reruns identical:
+    # dsycon's last bits follow the address of a work buffer scipy allocates (OpenBLAS dasum)
+    with np.errstate(over="ignore"):
+        rcond = float(np.float32(lapack.dsycon(lu, ipiv, np.linalg.norm(A, 1))[0]))
+    cond = 1.0 / rcond if rcond > 0.0 else float("inf")
     residual = float("inf")
     if np.isfinite(coeffs).all():
         # evaluate_many's row reduction; huge coefficients may overflow it to inf
         with np.errstate(over="ignore", invalid="ignore"):
             residual = float(np.abs(np.vecdot(A, coeffs) - f).max())
         if residual <= FIT_TOL * float(np.abs(f).max()):
-            # dsycon's last bits follow the address of a work buffer scipy
-            # allocates (OpenBLAS dasum); single precision keeps reruns identical
-            rcond = float(np.float32(lapack.dsycon(lu, ipiv, np.linalg.norm(A, 1))[0]))
-            cond = 1.0 / rcond if rcond > 0.0 else float("inf")
             return Interpolant(pts, coeffs, p, profile, residual, cond, guaranteed)
     if guaranteed:
         raise CertificationError(
             f"numerical breakdown: the system is provably nonsingular for p={p} "
             f"with profile {profile.describe()} (catalog prediction {predicted}: {source}), "
-            f"yet the solve residual is {residual:.3e}"
+            f"yet the solve residual is {residual:.3e} at condition estimate {cond:.3e}"
         )
     report = check_and(A)
     raise SingularSystemError(
         f"singular or too ill-conditioned system (residual {residual:.3e}, "
-        f"verdict {report.verdict}, det_sign {report.det_sign}); "
+        f"condition estimate {cond:.3e}, verdict {report.verdict}, det_sign {report.det_sign}); "
         f"no solvability guarantee for p={p} with profile {profile.describe()} "
         f"(catalog prediction {predicted}: {source})",
         record=report,

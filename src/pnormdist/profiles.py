@@ -27,6 +27,10 @@ so each leaf records whether it consumes the distance r, the squared
 distance r^2, or the p-th power r^p. The convention sits on the inner leaf:
 a composition consumes what inner does, and outer consumes inner's values,
 so an outer convention other than `distance` is an error, never ignored.
+
+A call checks its argument non-negative once, before any root (which
+`geometry.distances_from_power_sums` takes), then maps an array of its own
+in place and checks the values for overflow; a caller's array is not written.
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ class RadialProfile:
         if self.kind == "power":
             return STRICTLY_CND1 if self.tau < 1.0 else CND1 if self.tau == 1.0 else None
         if self.kind == "composition":
-            keeps = self.inner.family in (CND1, STRICTLY_CND1) and _evaluate(self.inner, 0.0) == 0.0
+            keeps = self.inner.family in (CND1, STRICTLY_CND1) and self.inner(0.0) == 0.0
             return self.outer.family if keeps else None
         return _LEAVES.get(self.kind)
 
@@ -123,25 +127,29 @@ class RadialProfile:
         Only the final value is checked, so an inner value that overflows to
         inf may still map to a finite one (exp o power(3) gives 0 there).
         """
-        return self._finite(t, "")
+        return self._values(t, None)
 
     def apply_to_power_sums(self, sums, p: float) -> np.ndarray:
-        """Map pairwise p-th-power sums s = ||x_i - x_j||_p^p to profile values.
+        """Map pairwise p-th-power sums s = ||x_i - x_j||_p^p to profile values; raises
+        ValueError naming the profile and p when a value overflows a double."""
+        return self._values(sums, p)
 
-        Raises ValueError naming the profile and p when a value overflows a double.
-        """
-        t = np.asarray(sums, dtype=float)
-        if self.input_convention != PTH_POWER_DISTANCE:
-            t = geometry.distances_from_power_sums(t, p, self.input_convention == SQUARED_DISTANCE)
-        return self._finite(t, f" at p = {p:g}; rescale the points")
-
-    def _finite(self, t, where: str):
-        """The profile at t; a value that overflows raises ValueError, `where` ending its text."""
+    def _values(self, t, p: Optional[float]):
+        """The profile at t, or at the power sums t taken at p; `t` is not written."""
+        t = np.asarray(t, dtype=float)
+        if not np.all(t >= 0.0):  # nan fails too
+            raise ValueError("profile argument must be non-negative")
+        if p is None or self.input_convention == PTH_POWER_DISTANCE:
+            t = t.copy()
+        else:  # np.asarray: a 0-d array's root is a numpy scalar, which cannot be mapped in place
+            squared = self.input_convention == SQUARED_DISTANCE
+            t = np.asarray(geometry.distances_from_power_sums(t, p, squared))
         with np.errstate(over="ignore"):
-            vals = _evaluate(self, t)
-        if np.isinf(vals).any():
+            _map(self, t)
+        if np.isinf(t).any():
+            where = "" if p is None else f" at p = {p:g}; rescale the points"
             raise ValueError(f"profile {self.describe()} overflows a double{where}")
-        return vals
+        return float(t) if t.ndim == 0 else t
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -177,24 +185,19 @@ def compose(outer: RadialProfile, inner: RadialProfile) -> RadialProfile:
     )
 
 
-def _evaluate(profile: RadialProfile, t):
-    """The scalar map at t >= 0 (scalar or array), with no overflow check."""
-    arr = np.asarray(t, dtype=float)
-    if not np.all(arr >= 0.0):  # nan fails too
-        raise ValueError("profile argument must be non-negative")
-    if profile.kind == "identity":
-        out = arr
-    elif profile.kind == "power":
-        out = np.power(arr, profile.tau)
+def _map(profile: RadialProfile, t: np.ndarray) -> None:
+    """Write the scalar map over `t` in place, unchecked: each leaf maps [0, inf] into itself."""
+    if profile.kind == "power":
+        np.power(t, profile.tau, out=t)
     elif profile.kind == "multiquadric":
-        out = np.sqrt(1.0 + arr)
+        t += 1.0
+        np.sqrt(t, out=t)
     elif profile.kind == "exponential":
-        out = np.exp(-arr)
-    else:  # composition, the one kind left: RadialProfile admits no other
-        out = _evaluate(profile.outer, _evaluate(profile.inner, arr))
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(out)
-    return out
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+    elif profile.kind == "composition":
+        _map(profile.inner, t)
+        _map(profile.outer, t)
 
 
 # ---------------------------------------------------------------------------

@@ -430,8 +430,10 @@ def rate_table(ns):
     """Rows (n, p_n, n*(p_n - 2)) for empirical convergence-rate inspection.
 
     Checks that p_n is strictly decreasing in n, stays above 2, and that the
-    rate n*(p_n - 2) stays under a fixed constant.
+    rate lies in (L, L + 2.5/n] about its limit L = 1/(4 ln 2) ~ 0.360674,
+    Voronovskaya's constant; over n = 2..50 it clears both sides by 0.008.
     """
+    limit = 1.0 / (4.0 * math.log(2.0))
     rows = []
     for n in ns:
         root = find_pn(int(n))
@@ -443,6 +445,8 @@ def rate_table(ns):
     for n, pn, rate in rows:
         if not pn > 2.0:
             raise CertificationError(f"p_{n} = {pn} is not above 2")
-        if not rate <= 4.0:
-            raise CertificationError(f"rate n*(p_n - 2) = {rate} at n={n} exceeds bound 4")
+        if not limit < rate <= limit + 2.5 / n:
+            raise CertificationError(
+                f"rate n*(p_n - 2) = {rate} at n={n} is outside (L, L + 2.5/n], L = 1/(4 ln 2)"
+            )
     return rows

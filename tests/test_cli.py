@@ -623,6 +623,32 @@ class TestInterp:
         assert rc == 3
         assert "singular" in capsys.readouterr().err.lower()
 
+    def test_ill_conditioned_guaranteed_system_names_its_condition_estimate(self, tmp_path, capsys):
+        # provably nonsingular, yet cond_1(A) is about 1e12: the residual misses FIT_TOL
+        rng = np.random.default_rng(5)
+        x, f = rng.random((40, 2)), rng.standard_normal(40)
+        data, queries = tmp_path / "data.csv", tmp_path / "q.csv"
+        self._write(data, np.column_stack([x, f]))
+        queries.write_text("0.5,0.5\n")
+        argv = ["interp", str(data), "--p", "2", "--profile", "multiquadric@squared-distance",
+                "--query-file", str(queries), "--out", str(tmp_path / "vals.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"provably nonsingular .* yet the solve residual is \S+ at condition "
+                         r"estimate \d\.\d{3}e\+1\d$", err.strip())
+
+    def test_overflowing_one_norm_gives_an_infinite_condition_estimate(self, tmp_path, capsys):
+        # ||A||_1 = 4e307 + 1.6e308 overflows; the fit is exact and must not warn
+        data, queries = tmp_path / "data.csv", tmp_path / "q.csv"
+        data.write_text("0,0,1\n4e307,0,2\n0,4e307,3\n")
+        queries.write_text("0,0\n")
+        argv = ["interp", str(data), "--p", "0.5", "--query-file", str(queries),
+                "--out", str(tmp_path / "vals.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert '"condition_estimate":"inf"' in capsys.readouterr().out
+
     def test_coincident_centres_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0.5,0.5,1\n0.5,0.5,2\n1,0,0\n")

@@ -89,8 +89,9 @@ class TestFit:
 
     def test_failures_name_the_prediction_source(self, monkeypatch):
         source = "(catalog prediction AND: 1-norm distance matrix (sum of coordinate distance matrices))"
-        with pytest.raises(SingularSystemError, match=re.escape(source)):
+        with pytest.raises(SingularSystemError, match=re.escape(source)) as exc_info:
             fit(UNIT_SQUARE, [1.0, 0.0, 0.0, 0.0], 1.0)
+        assert "(residual inf, condition estimate inf, verdict AND" in str(exc_info.value)
         # a residual bound below rounding turns a guaranteed fit into a breakdown
         rng = np.random.default_rng(40)
         monkeypatch.setattr(interpolation, "FIT_TOL", 1e-300)
@@ -98,6 +99,7 @@ class TestFit:
             fit(rng.random((8, 2)), rng.standard_normal(8), 2.0)
         assert type(exc_info.value) is CertificationError
         assert "(catalog prediction strictly-AND: Euclidean distance matrix)" in str(exc_info.value)
+        assert re.search(r"yet the solve residual is \S+ at condition estimate \S+$", str(exc_info.value))
 
     def test_fit_succeeds_and_det_sign_alternates_across_regime(self):
         # 200 randomized instances over p in (1, 2]: the solve always
@@ -362,15 +364,21 @@ class TestEvaluate:
         # the full 40 000 x 400 sums matrix would be 122 MiB
         assert peak < out.nbytes + 4 * BLOCK_BYTES
 
-    def test_peak_memory_is_output_plus_two_blocks(self):
-        # one workspace of differences, the block's sums and their roots, and
-        # the previous block's arrays freed before the next block is formed
+    @pytest.mark.parametrize(
+        "profile",
+        [identity(), multiquadric(), exponential(), power(0.5), compose(exponential(), multiquadric())],
+        ids=["identity", "multiquadric", "exponential", "power-half", "exp-o-multiquadric"],
+    )
+    def test_peak_memory_is_output_plus_two_blocks(self, profile):
+        # one workspace of differences, the block's sums and their roots, which
+        # every profile maps in place, and the previous block's arrays freed
+        # before the next block is formed
         rng = np.random.default_rng(38)
         s = interpolation.Interpolant(
             centers=PointSet(rng.random((300, 3))),
             coefficients=rng.standard_normal(300),
             p=1.5,
-            profile=identity(),
+            profile=profile,
             residual=0.0,
             condition_estimate=1.0,
             guaranteed=False,

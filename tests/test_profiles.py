@@ -31,6 +31,8 @@ UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 class TestEvaluate:
     def test_power_half_at_four(self):
         assert power(0.5)(4.0) == 2.0
+        # a 0-d power sum, whose root numpy returns as a scalar, gives a float too
+        assert power(0.5).apply_to_power_sums(16.0, 2.0) == 2.0
 
     def test_multiquadric_at_zero(self):
         assert multiquadric()(0.0) == 1.0
@@ -42,9 +44,18 @@ class TestEvaluate:
             for s in (0.0, 0.3, 1.0, 7.5):
                 assert comp(s * s) == pytest.approx(s, rel=1e-13, abs=1e-15)
 
-    def test_rejects_negative_argument(self):
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    def test_rejects_negative_argument(self, p):
         with pytest.raises(ValueError):
             identity()(-0.1)
+        # the sums are checked before any root, which would warn on them
+        sums = np.array([[0.0, -0.1], [-0.1, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for convention in (DISTANCE, SQUARED_DISTANCE, PTH_POWER_DISTANCE):
+                for prof in (identity(convention), power(0.5, convention)):
+                    with pytest.raises(ValueError, match="^profile argument must be non-negative$"):
+                        prof.apply_to_power_sums(sums, p)
 
     @pytest.mark.parametrize("t", [float("nan"), np.array([np.nan, 1.0])], ids=["scalar", "array"])
     def test_rejects_nan_argument(self, t):
@@ -73,7 +84,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
     def test_power_sums_are_not_overwritten(self, p):
-        # the kernel takes roots in place over its own blocks, never over a caller's
+        # a profile maps in place only an array it made itself, never a caller's
         s = np.random.default_rng(9).random((4, 5)) * 10.0
         s[0, 0] = 0.0
         before = s.copy()
@@ -81,9 +92,14 @@ class TestEvaluate:
             distances_from_power_sums(s, p, squared)
             assert np.array_equal(s.view(np.uint64), before.view(np.uint64))
         leaves = (identity, multiquadric, exponential, lambda c: power(0.5, c))
-        for make in leaves:
+        for make in (*leaves, lambda c: compose(exponential(), multiquadric(c))):
             for convention in (DISTANCE, SQUARED_DISTANCE, PTH_POWER_DISTANCE):
-                make(convention).apply_to_power_sums(s, p)
+                prof = make(convention)
+                vals = prof.apply_to_power_sums(s, p)
+                assert not np.shares_memory(vals, s)
+                assert np.array_equal(s.view(np.uint64), before.view(np.uint64))
+                vals = prof(s)
+                assert not np.shares_memory(vals, s)
                 assert np.array_equal(s.view(np.uint64), before.view(np.uint64))
 
     def test_associativity_of_composition_evaluation(self):

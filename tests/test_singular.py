@@ -773,7 +773,8 @@ class TestRateTable:
         [
             ({2: 2.5, 3: 2.6}, "p_n not strictly decreasing between n=2 and n=3"),
             ({2: 2.0}, "p_2 = 2.0 is not above 2"),
-            ({2: 4.5}, "rate n*(p_n - 2) = 5.0 at n=2 exceeds bound 4"),
+            ({2: 4.5}, "rate n*(p_n - 2) = 5.0 at n=2 is outside (L, L + 2.5/n], L = 1/(4 ln 2)"),
+            ({2: 2.125}, "rate n*(p_n - 2) = 0.25 at n=2 is outside (L, L + 2.5/n], L = 1/(4 ln 2)"),
         ],
     )
     def test_each_check_raises(self, monkeypatch, roots, message):
@@ -785,7 +786,10 @@ class TestRateTable:
             rate_table(sorted(roots))
 
     def test_rates_bounded_and_peak_at_small_n(self):
-        rows = rate_table(range(2, 41))
+        # Voronovskaya's envelope: n (p_n - 2) tends to 1/(4 ln 2) from above within 2.5/n
+        limit = 1.0 / (4.0 * math.log(2.0))
+        rows = rate_table(range(2, 51))
         rates = [r for _, _, r in rows]
         assert max(rates) == rates[0]
-        assert max(rates) < 4.0
+        for n, _, rate in rows:
+            assert limit < rate <= limit + 2.5 / n
