@@ -59,7 +59,7 @@ def _require_symmetric(A) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AndReport:
     """Verdict record for one matrix.
 
@@ -177,7 +177,7 @@ def check_and(A) -> AndReport:
     return _report(A, B, np.linalg.eigvalsh(B), EIG_TOL * float(np.abs(A).max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """Vectors y^1..y^n with |y^i - y^j|^2 reproducing a zero-diagonal AND matrix.
 

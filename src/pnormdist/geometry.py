@@ -16,8 +16,6 @@ upper blocks and mirrored, so they are bitwise symmetric by construction.
 An upper block pairs its rows with the columns that remain, m = n - start,
 and takes as many rows as fit BLOCK_BYTES at that width, so the blocks grow
 taller down the matrix and memory is still the output plus one block.
-`distances_from_power_sums` is the one function that takes their roots,
-for `build_distance_matrix` and for every profile alike.
 
 File formats read by this module (`serialize.write_csv` writes them): points
 are CSV with one point per row and d float columns (no header); matrices are
@@ -62,7 +60,7 @@ def finite_positive(value, name: str = "p") -> float:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered set of n points in R^d, stored as an (n, d) array."""
 
@@ -107,7 +105,7 @@ def as_point_set(x: PointsLike) -> PointSet:
     return x if isinstance(x, PointSet) else PointSet(np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric n x n matrix of profile values of pairwise p-norm distances.
 
@@ -145,24 +143,6 @@ def _pow_abs(values: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
         np.log(out, out=out)
         out *= p
         return np.exp(out, out=out)
-
-
-def distances_from_power_sums(sums: np.ndarray, p: float, squared: bool = False) -> np.ndarray:
-    """s^(1/p), the p-norm distances of power sums s, or s^(2/p) with squared=True.
-
-    The result is a new array; `sums` is not changed. Exponent 1/2 takes
-    `np.sqrt`, the bits of `np.power(s, 0.5)` in half the time for any s but
-    -0.0, which no power sum is. Raises ValueError naming p beyond the double
-    range, which only an exponent e > 1 can reach: s^e <= max(s, 1) for e <= 1.
-    """
-    exponent = (2.0 if squared else 1.0) / p
-    if exponent == 0.5:
-        return np.sqrt(sums)
-    with np.errstate(over="ignore"):
-        roots = np.power(sums, exponent)
-    if exponent > 1.0 and np.isinf(roots).any():
-        raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
-    return roots
 
 
 def power_sum_blocks(
@@ -226,18 +206,20 @@ def build_distance_matrix(
 ) -> DistanceMatrix:
     """Assemble A_ij = profile(||x_i - x_j||_p) from mirrored upper blocks.
 
-    `profile=None` means the raw p-norm distance (identity profile). A
-    profile's `input_convention` decides whether it consumes the distance r,
-    the squared distance r^2, or the p-th power r^p. The blocks compute the
+    `profile=None` is `identity()`, the raw p-norm distance. A profile's
+    `input_convention` decides whether it consumes the distance r, the
+    squared distance r^2, or the p-th power r^p. The blocks compute the
     diagonal, the profile's value at 0 (exactly 0 for the raw distance),
     from its power sums of exactly 0. Memory is the n x n result plus one block.
     """
+    from .profiles import identity  # profiles imports this module
+
     pts = as_point_set(x)
     p = finite_positive(p)
+    profile = identity() if profile is None else profile
     entries = np.empty((pts.n, pts.n))  # the blocks write every entry
-    values = distances_from_power_sums if profile is None else profile.apply_to_power_sums
     for start, stop, sums in power_sum_blocks(pts.points, None, p):
-        vals = values(sums, p)
+        vals = profile.apply_to_power_sums(sums, p)
         entries[start:stop, start:] = vals
         entries[start:, start:stop] = vals.T
     entries.setflags(write=False)

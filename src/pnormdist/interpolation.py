@@ -46,7 +46,7 @@ from .geometry import (
 FIT_TOL = 1e-8  # largest residual max|A lambda - f| of a fit, relative to max|f|
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interpolant:
     centers: PointSet
     coefficients: np.ndarray

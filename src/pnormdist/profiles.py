@@ -28,9 +28,10 @@ distance r^2, or the p-th power r^p. The convention sits on the inner leaf:
 a composition consumes what inner does, and outer consumes inner's values,
 so an outer convention other than `distance` is an error, never ignored.
 
-A call checks its argument non-negative once, before any root (which
-`geometry.distances_from_power_sums` takes), then maps an array of its own
-in place and checks the values for overflow; a caller's array is not written.
+This module alone turns `geometry`'s power sums into values. A call checks
+its argument non-negative once, before `_roots` takes any root, then maps an
+array of its own in place and checks the values for overflow; a caller's
+array is not written.
 """
 
 from __future__ import annotations
@@ -142,8 +143,7 @@ class RadialProfile:
         if p is None or self.input_convention == PTH_POWER_DISTANCE:
             t = t.copy()
         else:  # np.asarray: a 0-d array's root is a numpy scalar, which cannot be mapped in place
-            squared = self.input_convention == SQUARED_DISTANCE
-            t = np.asarray(geometry.distances_from_power_sums(t, p, squared))
+            t = np.asarray(_roots(t, p, self.input_convention == SQUARED_DISTANCE))
         with np.errstate(over="ignore"):
             _map(self, t)
         if np.isinf(t).any():
@@ -183,6 +183,24 @@ def compose(outer: RadialProfile, inner: RadialProfile) -> RadialProfile:
     return RadialProfile(
         kind="composition", outer=outer, inner=inner, input_convention=inner.input_convention
     )
+
+
+def _roots(sums: np.ndarray, p: float, squared: bool) -> np.ndarray:
+    """s^(1/p), the p-norm distances of power sums s >= 0, or s^(2/p) with squared=True.
+
+    The result is a new array. Exponent 1/2 takes `np.sqrt`, the bits of
+    `np.power(s, 0.5)` in half the time for any s but -0.0, which no power sum
+    is. Raises ValueError naming p beyond the double range, which only an
+    exponent e > 1 can reach: s^e <= max(s, 1) for e <= 1.
+    """
+    exponent = (2.0 if squared else 1.0) / p
+    if exponent == 0.5:
+        return np.sqrt(sums)
+    with np.errstate(over="ignore"):
+        roots = np.power(sums, exponent)
+    if exponent > 1.0 and np.isinf(roots).any():
+        raise ValueError(f"p-norm distances overflow a double at p = {p:g}; rescale the points")
+    return roots
 
 
 def _map(profile: RadialProfile, t: np.ndarray) -> None:

@@ -21,9 +21,9 @@ import pytest
 import pnormdist
 from pnormdist.andmatrix import check_and, schoenberg_embed
 from pnormdist.errors import SingularSystemError
-from pnormdist.geometry import build_distance_matrix, pow_abs
+from pnormdist.geometry import PointSet, build_distance_matrix, pow_abs
 from pnormdist.interpolation import evaluate_interpolant, fit
-from pnormdist.profiles import identity
+from pnormdist.profiles import identity, matrix_from_profile
 from pnormdist.singular import (
     certify_singular,
     cube_config,
@@ -276,6 +276,29 @@ def test_public_api_is_pinned():
     # a name added here needs a caller among the demos, the CLI or the tests
     assert sorted(pnormdist.__all__) == PUBLIC_API
     assert all(hasattr(pnormdist, name) for name in PUBLIC_API)
+
+
+# every record that holds an array, directly or through another record, built
+# through the library; each call builds a new one with equal contents
+RECORDS = {
+    "PointSet": lambda: PointSet(UNIT_SQUARE),
+    "DistanceMatrix": lambda: build_distance_matrix(UNIT_SQUARE, 1.5),
+    "AndReport": lambda: check_and(build_distance_matrix(UNIT_SQUARE, 1.5).entries),
+    "Embedding": lambda: schoenberg_embed(build_distance_matrix(UNIT_SQUARE, 1.5).entries),
+    "Interpolant": lambda: fit(UNIT_SQUARE, [0.0, 1.0, 2.0, 3.0], 1.5),
+    "CubeConfig": lambda: cube_config(2, 2, 1.0, 3.0),
+    "ProfileMatrixResult": lambda: matrix_from_profile(UNIT_SQUARE, 1.5, identity()),
+}
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+def test_records_with_arrays_compare_and_hash(build):
+    # an array has no single truth value, so a record holding one compares by
+    # identity, and a record of such records compares field by field
+    a, b = build(), build()
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
 
 
 def unused_imports(source: str) -> list[str]:

@@ -18,7 +18,6 @@ from pnormdist.geometry import (
     BLOCK_BYTES,
     PointSet,
     build_distance_matrix,
-    distances_from_power_sums,
     pow_abs,
     power_sum_blocks,
     read_matrix_csv,
@@ -28,6 +27,7 @@ from pnormdist.geometry import (
 )
 from pnormdist.interpolation import fit
 from pnormdist.profiles import (
+    _roots,
     compose,
     exponential,
     identity,
@@ -417,7 +417,7 @@ class TestRoots:
         rng = np.random.default_rng(8)
         bits = rng.integers(0, np.float64(np.inf).view(np.int64), 200_000)
         s = np.concatenate([self.EDGES, bits.view(np.float64), rng.random(1000) * 1e3])
-        got = distances_from_power_sums(s, p, squared)
+        got = _roots(s, p, squared)
         assert np.array_equal(got.view(np.uint64), np.power(s, 0.5).view(np.uint64))
         assert np.array_equal(got.view(np.uint64), np.sqrt(s).view(np.uint64))
 

@@ -7,7 +7,7 @@ import pytest
 
 from pnormdist import profiles
 from pnormdist.errors import VerdictMismatchError
-from pnormdist.geometry import build_distance_matrix, distances_from_power_sums, pow_abs
+from pnormdist.geometry import build_distance_matrix, pow_abs
 from pnormdist.profiles import (
     CND1,
     DISTANCE,
@@ -89,7 +89,7 @@ class TestEvaluate:
         s[0, 0] = 0.0
         before = s.copy()
         for squared in (False, True):
-            distances_from_power_sums(s, p, squared)
+            profiles._roots(s, p, squared)
             assert np.array_equal(s.view(np.uint64), before.view(np.uint64))
         leaves = (identity, multiquadric, exponential, lambda c: power(0.5, c))
         for make in (*leaves, lambda c: compose(exponential(), multiquadric(c))):
@@ -101,6 +101,10 @@ class TestEvaluate:
                 vals = prof(s)
                 assert not np.shares_memory(vals, s)
                 assert np.array_equal(s.view(np.uint64), before.view(np.uint64))
+        # profile=None is identity(): the same bits at every exponent
+        x = np.random.default_rng(10).standard_normal((6, 3))
+        raw = build_distance_matrix(x, p).entries.view(np.uint64)
+        assert np.array_equal(raw, build_distance_matrix(x, p, identity()).entries.view(np.uint64))
 
     def test_associativity_of_composition_evaluation(self):
         h, g, f = power(0.3), multiquadric(), power(0.7)

@@ -632,6 +632,23 @@ class TestCertification:
         with pytest.raises(CertificationError, match="not the cube pair"):
             certify_singular(nudged)
 
+    def test_system_that_disagrees_with_the_block_sums_fails_the_reduction_check(
+        self, monkeypatch
+    ):
+        # the true pair's block sums against a reduced system off by 1e-11 in one entry
+        def skewed(m, n, theta, p):
+            rs = reduced_system(m, n, theta, p)
+            rs[0, 1] *= 1.0 + 1e-11
+            return rs
+
+        monkeypatch.setattr(singular, "reduced_system", skewed)
+        message = (
+            "cube pair does not reduce to the 2x2 system: relative deviation of its "
+            "block sums 1.000e-11, limit 1e-12"
+        )
+        with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+            certify_singular(cube_config(3, 3, 1.0, find_pn(3).value))
+
     def test_swapped_rows_fail_the_points_check(self):
         # the same point set in another order is not the pair the record names
         cfg = cube_config(2, 2, 1.0, find_pn(2).value)
