@@ -16,9 +16,12 @@
 # overflows to an infinite condition estimate. check-and and interp run again
 # at p = 2, where the kernel squares. Bad input must end in exit 2 (input
 # error) or 3 (certification failure) with a message, never a traceback: distmat
-# rejects points whose squares overflow and a file with a nan cell, interp
-# rejects coincident centres and the singular system of the unit square at
-# p = 1, embed rejects a matrix that is not AND, and scan-psi a repeated --n.
+# rejects points whose squares overflow, points whose coordinate differences
+# overflow and a file with a nan cell, interp rejects coincident centres and
+# the singular system of the unit square at p = 1, embed rejects a matrix that
+# is not AND, and scan-psi a repeated --n. Last, distmat writes the same bytes
+# for 300 random points at 1 and 2 OpenBLAS threads, since the kernel forms its
+# coordinate differences with a BLAS matmul.
 set -euo pipefail
 
 dir="${1:-$(mktemp -d)}"
@@ -58,6 +61,8 @@ pnormdist check-and "$dir/three.csv" --p 2
 pnormdist interp "$dir/data.csv" --p 2 --query-file "$dir/queries.csv" --out "$dir/v2.csv"
 printf '0,0\n1e200,0\n0,1e200\n' > "$dir/far.csv"
 fails 2 "overflow a double at p = 2" distmat "$dir/far.csv" --p 2 --out "$dir/far-A.csv"
+printf '1e308,0\n-1e308,0\n0,1\n' > "$dir/apart.csv"
+fails 2 "overflow a double at p = 1.5" distmat "$dir/apart.csv" --p 1.5 --out "$dir/apart-A.csv"
 printf '0,0\n1,nan\n' > "$dir/nan.csv"
 fails 2 "not a finite number: 'nan'" distmat "$dir/nan.csv" --p 1.5 --out "$dir/nan-A.csv"
 printf '0,0,1\n1,0,0\n1,1,1\n0,1,0\n' > "$dir/square.csv"
@@ -69,3 +74,7 @@ fails 2 "centres in rows 1 and 2 coincide" \
 printf '0,1,1\n1,0,9\n1,9,0\n' > "$dir/not-and.csv"
 fails 3 "matrix is not almost negative definite" embed "$dir/not-and.csv" --out "$dir/not-and-Y.csv"
 fails 2 "--n lists 2 more than once" scan-psi --n 2,2 --p-grid 2:3:0.5 --out "$dir/psi-2.csv"
+python -c "import numpy as np; np.savetxt('$dir/many.csv', np.random.default_rng(1).random((300, 3)), delimiter=',')"
+OPENBLAS_NUM_THREADS=1 pnormdist distmat "$dir/many.csv" --p 1.5 --out "$dir/many-A1.csv"
+OPENBLAS_NUM_THREADS=2 pnormdist distmat "$dir/many.csv" --p 1.5 --out "$dir/many-A2.csv"
+cmp "$dir/many-A1.csv" "$dir/many-A2.csv"

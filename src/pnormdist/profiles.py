@@ -138,7 +138,7 @@ class RadialProfile:
     def _values(self, t, p: Optional[float]):
         """The profile at t, or at the power sums t taken at p; `t` is not written."""
         t = np.asarray(t, dtype=float)
-        if not np.all(t >= 0.0):  # nan fails too
+        if t.size and not t.min() >= 0.0:  # nan fails too
             raise ValueError("profile argument must be non-negative")
         if p is None or self.input_convention == PTH_POWER_DISTANCE:
             t = t.copy()
@@ -146,7 +146,7 @@ class RadialProfile:
             t = np.asarray(_roots(t, p, self.input_convention == SQUARED_DISTANCE))
         with np.errstate(over="ignore"):
             _map(self, t)
-        if np.isinf(t).any():
+        if t.size and not t.max() < np.inf:  # so does nan, which no leaf makes of t >= 0
             where = "" if p is None else f" at p = {p:g}; rescale the points"
             raise ValueError(f"profile {self.describe()} overflows a double{where}")
         return float(t) if t.ndim == 0 else t

@@ -934,6 +934,37 @@ class TestBlasThreads:
         eig_one, eig_two = np.array(one["eigenvalues"]), np.array(two["eigenvalues"])
         assert np.abs(eig_one - eig_two).max() <= 1e-15 * np.abs(eig_one).max()
 
+    # prints a hash of every block of power_sum_blocks, upper and query, at p = 1.5 and 2
+    KERNEL_HASHES = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from pnormdist.geometry import power_sum_blocks\n"
+        "rng = np.random.default_rng(47)\n"
+        "x, q = rng.standard_normal((1000, 3)), rng.standard_normal((2000, 3))\n"
+        "h = hashlib.sha256()\n"
+        "for p in (1.5, 2.0):\n"
+        "    for a, b in ((x, None), (q, x[:400])):\n"
+        "        for start, stop, sums in power_sum_blocks(a, b, p):\n"
+        "            h.update(f'{start},{stop};'.encode())\n"
+        "            h.update(sums.tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+
+    def test_kernel_bits_at_one_and_two_threads(self):
+        # the kernel forms its differences with a BLAS matmul; each entry is
+        # one rounded sum of two exact products, whatever the thread count
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+                       OPENBLAS_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-c", self.KERNEL_HASHES],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr.decode()
+            hashes.append(run.stdout)
+        assert hashes[0] == hashes[1]
+
 
 class TestDeferredScipy:
     """scipy.linalg is imported inside `fit`, the one function that calls

@@ -497,6 +497,78 @@ class TestPowerSumBlocks:
             upper[start:stop, start:] = sums
         assert np.array_equal(upper[iu, ju], expected[iu, ju])
 
+    # zeros, subnormals, the least normal, and magnitudes whose powers leave
+    # the double range at some p
+    EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e154, 1e300]
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "query"])
+    @pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("edges", [EDGES, EDGES[:5]], ids=["all-edges", "no-large"])
+    def test_edge_differences_keep_the_subtraction_bits(self, upper, p, edges):
+        # every coordinate difference is formed as [a, 1] . [1, -b]; its bits
+        # must be those of a - b, and the sums those of the in-order reference,
+        # or both must be rejected with the same error
+        values = np.array([sign * e for e in edges for sign in (1.0, -1.0)])
+        compared = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+
+            def draw(k):  # one block: each row is a few edges and normal values
+                x = rng.choice(values, (k, 3))
+                return np.where(rng.random((k, 3)) < 0.5, x, rng.standard_normal((k, 3)))
+
+            a = draw(7)
+            b = None if upper else draw(5)
+            expected, error = reference_power_sums(a, b, p)
+            if error:
+                with pytest.raises(ValueError, match=error):
+                    list(power_sum_blocks(a, b, p))
+                continue
+            ((start, stop, sums),) = power_sum_blocks(a, b, p)
+            assert (start, stop) == (0, 7)
+            assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
+            compared += 1
+        assert compared > 0 or edges is self.EDGES and p > 0.5
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "query"])
+    def test_subnormal_difference_beside_zero_differences(self, upper):
+        # (5e-324)^0.5 is about 2.2e-162, a normal sum; a product form whose
+        # BLAS flushed the subnormal to zero would make these distinct rows
+        # coincide and the kernel reject them
+        a = np.array([[5e-324, 1.0, -2.0], [0.0, 1.0, -2.0]])
+        b = None if upper else a[::-1].copy()
+        expected, error = reference_power_sums(a, b, 0.5)
+        assert error is None
+        ((_, _, sums),) = power_sum_blocks(a, b, 0.5)
+        assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
+        assert sums.max() == pytest.approx(2.2227587494850775e-162, rel=1e-15)
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "query"])
+    def test_overflowing_differences_raise_without_a_warning(self, upper):
+        # 1e308 - (-1e308) overflows; the sums check rejects it, and forming
+        # the difference must not warn first (a traceback under -W error)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflow a double at p = 1\.5; rescale"):
+                if upper:
+                    build_distance_matrix([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]], 1.5)
+                else:
+                    fit([[-1e308]], [5.0], 1.5, multiquadric()).evaluate_many([[1e308]])
+
+
+def reference_power_sums(a, b, p):
+    """The in-order sums of pow_abs(a_i - b_j) with b=None meaning a, and the
+    error fragment `power_sum_blocks` raises for them in one block, or None."""
+    b = a if b is None else b
+    with np.errstate(over="ignore"):
+        sums = in_order_sum(pow_abs(a[:, None] - b[None], p))
+    if not sums.max() < np.inf:
+        return sums, f"overflow a double at p = {p:g}"
+    distinct = (a[:, None] != b[None]).any(axis=2)
+    if (distinct & (sums < np.finfo(float).tiny)).any():
+        return sums, "below the normal double range"
+    return sums, None
+
 
 class TestCsv:
     def test_points_round_trip(self, tmp_path):
